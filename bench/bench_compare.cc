@@ -20,14 +20,9 @@
  *
  *   ./build/bench/bench_compare --timeline RUN.jsonl
  *
- * accepts the v1 schema (hoard-timeline-v1, with the old
- * "bin_hits"/"bin_misses" keys), v2 (global_bin_hits/misses,
- * bad_free_* counters, profiler byte totals), v3 (per-path
- * "lat_<path>_n"/"lat_<path>_p99" latency series), and v4 (the
- * committed/reserved/purged footprint split; "os" stays as an alias
- * of committed), so timelines captured before any extension stay
- * readable.  Exits 0 on a clean read, 2 on parse errors or an
- * unknown schema.
+ * reads the schema the sampler writes, hoard-timeline-v6 (key list in
+ * obs/trace_export.h).  Exits 0 on a clean read, 2 on parse errors or
+ * any other schema.
  */
 
 #include <algorithm>
@@ -78,8 +73,7 @@ usage(std::ostream& os)
           " (default 10),\n"
        << "  1 on regression, 2 on usage/parse errors\n"
        << "  --timeline summarizes a gauge timeline (schema\n"
-       << "  hoard-timeline-v1 through -v5) instead of diffing"
-          " reports\n";
+       << "  hoard-timeline-v6) instead of diffing reports\n";
 }
 
 /**
@@ -100,10 +94,6 @@ summarize_timeline(const std::string& path)
     std::uint64_t first_ts = 0;
     double peak_in_use = 0.0, peak_held = 0.0, peak_blowup = 0.0;
     JsonValue last;
-    bool v1_seen = false;
-    bool v3_seen = false;
-    bool v4_seen = false;
-    bool v5_seen = false;
     std::string line;
     for (std::size_t lineno = 1; std::getline(is, line); ++lineno) {
         if (line.empty())
@@ -116,22 +106,11 @@ summarize_timeline(const std::string& path)
             return 2;
         }
         const std::string schema = doc.string_or("schema", "");
-        if (schema != "hoard-timeline-v1" &&
-            schema != "hoard-timeline-v2" &&
-            schema != "hoard-timeline-v3" &&
-            schema != "hoard-timeline-v4" &&
-            schema != "hoard-timeline-v5") {
+        if (schema != "hoard-timeline-v6") {
             std::cerr << path << ":" << lineno << ": unknown schema '"
-                      << schema << "'\n";
+                      << schema << "' (expected hoard-timeline-v6)\n";
             return 2;
         }
-        v1_seen = v1_seen || schema == "hoard-timeline-v1";
-        v3_seen = v3_seen || schema == "hoard-timeline-v3" ||
-                  schema == "hoard-timeline-v4" ||
-                  schema == "hoard-timeline-v5";
-        v4_seen = v4_seen || schema == "hoard-timeline-v4" ||
-                  schema == "hoard-timeline-v5";
-        v5_seen = v5_seen || schema == "hoard-timeline-v5";
         if (samples == 0)
             first_ts = static_cast<std::uint64_t>(
                 doc.number_or("ts", 0.0));
@@ -146,37 +125,29 @@ summarize_timeline(const std::string& path)
         return 2;
     }
 
-    // v1 predates the global_bin_* rename; fall back to the old keys.
-    const double bin_hits = last.number_or(
-        "global_bin_hits", last.number_or("bin_hits", 0.0));
-    const double bin_misses = last.number_or(
-        "global_bin_misses", last.number_or("bin_misses", 0.0));
+    const double bin_hits = last.number_or("global_bin_hits", 0.0);
+    const double bin_misses = last.number_or("global_bin_misses", 0.0);
     const double bin_lookups = bin_hits + bin_misses;
     const double bad_frees = last.number_or("bad_free_wild", 0.0) +
                              last.number_or("bad_free_foreign", 0.0) +
                              last.number_or("bad_free_interior", 0.0) +
                              last.number_or("bad_free_double", 0.0);
 
-    std::printf("timeline %s: %zu samples%s, %.3f ms span\n",
-                path.c_str(), samples, v1_seen ? " (schema v1)" : "",
+    std::printf("timeline %s: %zu samples, %.3f ms span\n",
+                path.c_str(), samples,
                 (last.number_or("ts", 0.0) -
                  static_cast<double>(first_ts)) /
                     1e6);
-    std::printf("  final in_use %.0f, held %.0f, os %.0f, cached %.0f "
-                "bytes\n",
+    std::printf("  final in_use %.0f, held %.0f, cached %.0f bytes\n",
                 last.number_or("in_use", 0.0),
-                last.number_or("held", 0.0), last.number_or("os", 0.0),
+                last.number_or("held", 0.0),
                 last.number_or("cached", 0.0));
-    if (v4_seen) {
-        // The v4 footprint split: "os" above is the deprecated alias
-        // of committed; reserved and purged complete the picture
-        // (committed + purged == held at quiescence).
-        std::printf("  final committed %.0f, reserved %.0f, purged "
-                    "%.0f bytes\n",
-                    last.number_or("committed", 0.0),
-                    last.number_or("reserved", 0.0),
-                    last.number_or("purged", 0.0));
-    }
+    // committed + purged == held at quiescence.
+    std::printf("  final committed %.0f, reserved %.0f, purged %.0f "
+                "bytes\n",
+                last.number_or("committed", 0.0),
+                last.number_or("reserved", 0.0),
+                last.number_or("purged", 0.0));
     std::printf("  peak in_use %.0f, peak held %.0f, peak blowup "
                 "%.3f\n",
                 peak_in_use, peak_held, peak_blowup);
@@ -190,49 +161,40 @@ summarize_timeline(const std::string& path)
                 bin_lookups > 0.0 ? bin_hits / bin_lookups * 100.0
                                   : 0.0,
                 bin_hits, bin_lookups);
-    if (v1_seen) {
-        std::printf("  bad frees / profiler bytes: not recorded in "
-                    "schema v1\n");
-    } else {
-        std::printf("  bad frees rejected: %.0f\n", bad_frees);
-        std::printf("  profiler sampled: %.0f requested / %.0f rounded "
-                    "bytes\n",
-                    last.number_or("prof_sampled_requested", 0.0),
-                    last.number_or("prof_sampled_rounded", 0.0));
-    }
-    if (v3_seen) {
-        // The v3 latency keys mirror obs::LatencyPath; names are part
-        // of the schema, so they are spelled out here rather than
-        // linking the obs library into the comparer.
-        static const char* const kLatPaths[] = {
-            "malloc_fast",      "malloc_refill",
-            "malloc_global_fetch", "malloc_fresh_map",
-            "free_fast",        "free_spill",
-            "free_remote_push", "owner_drain"};
-        bool any = false;
-        for (const char* name : kLatPaths) {
-            const double n =
-                last.number_or(std::string("lat_") + name + "_n", 0.0);
-            if (n <= 0.0)
-                continue;
-            if (!any)
-                std::printf("  latency p99 (cycles):\n");
-            any = true;
-            std::printf("    %-20s n=%-12.0f p99=%.0f\n", name, n,
-                        last.number_or(
-                            std::string("lat_") + name + "_p99", 0.0));
-        }
+    std::printf("  bad frees rejected: %.0f\n", bad_frees);
+    std::printf("  profiler sampled: %.0f requested / %.0f rounded "
+                "bytes\n",
+                last.number_or("prof_sampled_requested", 0.0),
+                last.number_or("prof_sampled_rounded", 0.0));
+    // The latency keys mirror obs::LatencyPath; names are part of the
+    // schema, so they are spelled out here rather than linking the obs
+    // library into the comparer.
+    static const char* const kLatPaths[] = {
+        "malloc_fast",      "malloc_refill",
+        "malloc_global_fetch", "malloc_fresh_map",
+        "free_fast",        "free_spill",
+        "free_remote_push", "owner_drain"};
+    bool any = false;
+    for (const char* name : kLatPaths) {
+        const double n =
+            last.number_or(std::string("lat_") + name + "_n", 0.0);
+        if (n <= 0.0)
+            continue;
         if (!any)
-            std::printf("  latency: histograms disarmed (all-zero "
-                        "series)\n");
+            std::printf("  latency p99 (cycles):\n");
+        any = true;
+        std::printf("    %-20s n=%-12.0f p99=%.0f\n", name, n,
+                    last.number_or(std::string("lat_") + name + "_p99",
+                                   0.0));
     }
-    if (v5_seen && last.number_or("bg_wakeups", 0.0) > 0.0) {
-        std::printf("  background: wakeups %.0f, refills %.0f, drains "
-                    "%.0f, precommits %.0f, purges %.0f\n",
+    if (!any)
+        std::printf("  latency: histograms disarmed (all-zero "
+                    "series)\n");
+    if (last.number_or("bg_wakeups", 0.0) > 0.0) {
+        std::printf("  background: wakeups %.0f, refills %.0f, purges "
+                    "%.0f\n",
                     last.number_or("bg_wakeups", 0.0),
                     last.number_or("bg_refills", 0.0),
-                    last.number_or("bg_drains", 0.0),
-                    last.number_or("bg_precommits", 0.0),
                     last.number_or("bg_purges", 0.0));
     }
     return 0;

@@ -6,10 +6,9 @@
  * Paired fibers hand allocation batches through a mailbox: the
  * producer allocates from its heap, the consumer frees cross-thread,
  * forever.  This is the workload the background engine exists for —
- * every free is remote (settling work piles up on the producers'
- * heaps) and every producer burns through its size class fast enough
- * that the global bin runs dry (refill work lands on the malloc
- * critical path as global_fetch misses and fresh maps).
+ * every producer burns through its size class fast enough that the
+ * global bin runs dry (refill work lands on the malloc critical path
+ * as global_fetch misses and fresh maps), and every free is remote.
  *
  * Each P runs twice on the simulated machine:
  *
@@ -18,9 +17,8 @@
  *    every bin miss pays the superblock format/map on the hot path.
  *  - `bg` (engine armed): one extra simulated processor runs the
  *    worker fiber (HoardAllocator::bg_worker_sim — the deterministic
- *    analogue of the native helper thread), which refills bins,
- *    settles remote queues, and pre-commits spans off the critical
- *    path.
+ *    analogue of the native helper thread), which refills bins off
+ *    the critical path.
  *
  * Throughput is measured as allocations per virtual megacycle against
  * the *workload* fibers' finish clocks (the worker fiber's own tail
@@ -236,7 +234,7 @@ main(int argc, char** argv)
                  " cross-thread; bg adds one helper core\n";
     metrics::Table table({"P", "engine", "allocs/Mcycle",
                           "refill p99", "fetch p99", "fresh p99",
-                          "bg refills", "bg drains"});
+                          "bg refills"});
     bool healthy = true;
     for (int nprocs : {2, 4, 8}) {
         for (int pass = 0; pass < 2; ++pass) {
@@ -268,7 +266,6 @@ main(int argc, char** argv)
                     .percentile(99),
                 0);
             table.cell_u64(r.snap.stats.bg_refills);
-            table.cell_u64(r.snap.stats.bg_drains);
 
             const std::string prefix = "prodcons/p" +
                                        std::to_string(nprocs) + "/" +
@@ -290,14 +287,6 @@ main(int argc, char** argv)
                 report.add_metric(prefix + "/refills",
                                   static_cast<double>(
                                       r.snap.stats.bg_refills),
-                                  "count", metrics::Better::info);
-                report.add_metric(prefix + "/drains",
-                                  static_cast<double>(
-                                      r.snap.stats.bg_drains),
-                                  "count", metrics::Better::info);
-                report.add_metric(prefix + "/precommits",
-                                  static_cast<double>(
-                                      r.snap.stats.bg_precommits),
                                   "count", metrics::Better::info);
             }
         }

@@ -289,8 +289,8 @@ main(int argc, char** argv)
 
         // The --bg axis: the same P=8 run with the background engine
         // armed and its worker fiber scheduled on a ninth processor.
-        // The worker refills bins and settles remote queues off the
-        // critical path, so the slow-path p99s (refill, global fetch,
+        // The worker refills bins off the critical path, so the
+        // slow-path p99s (refill, global fetch,
         // fresh map) should drop relative to the run above; the
         // deltas are recorded as info metrics for bench_compare.
         Config bg_config = config;
@@ -335,19 +335,11 @@ main(int argc, char** argv)
                               metrics::Better::info);
         }
         bg_table.print(std::cout);
-        std::printf("bg worker: %llu refills, %llu drains, %llu"
-                    " precommits\n",
+        std::printf("bg worker: %llu refills\n",
                     static_cast<unsigned long long>(
-                        bg_snap.stats.bg_refills),
-                    static_cast<unsigned long long>(
-                        bg_snap.stats.bg_drains),
-                    static_cast<unsigned long long>(
-                        bg_snap.stats.bg_precommits));
+                        bg_snap.stats.bg_refills));
         report.add_metric("latency/internal/bg/refills",
                           static_cast<double>(bg_snap.stats.bg_refills),
-                          "count", metrics::Better::info);
-        report.add_metric("latency/internal/bg/drains",
-                          static_cast<double>(bg_snap.stats.bg_drains),
                           "count", metrics::Better::info);
     }
 

@@ -93,7 +93,7 @@ main(int argc, char** argv)
                       &opt.prom_path);
     parser.add_string("--timeline", "FILE",
                       "write the gauge timeline as JSONL\n"
-                      "(schema hoard-timeline-v5)",
+                      "(schema hoard-timeline-v6)",
                       &opt.timeline_path);
     parser.add_uint64("--interval", "N",
                       "nanoseconds between timeline samples\n"
@@ -225,20 +225,14 @@ main(int argc, char** argv)
     obs::AllocatorSnapshot snap = allocator.take_snapshot();
 
     if (opt.bg && !opt.quiet) {
-        std::printf("background: wakeups %llu refills %llu drains "
-                    "%llu precommits %llu purges %llu hint-drops %llu\n",
+        std::printf("background: wakeups %llu refills %llu purges "
+                    "%llu\n",
                     static_cast<unsigned long long>(
                         snap.stats.bg_wakeups),
                     static_cast<unsigned long long>(
                         snap.stats.bg_refills),
                     static_cast<unsigned long long>(
-                        snap.stats.bg_drains),
-                    static_cast<unsigned long long>(
-                        snap.stats.bg_precommits),
-                    static_cast<unsigned long long>(
-                        snap.stats.bg_purges),
-                    static_cast<unsigned long long>(
-                        allocator.background_hint_drops()));
+                        snap.stats.bg_purges));
     }
 
     if (!opt.quiet) {

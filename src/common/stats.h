@@ -136,8 +136,6 @@ struct AllocatorStats
     Counter bad_free_double;     ///< frees of blocks already free
     Counter bg_wakeups;          ///< background-worker passes started
     Counter bg_refills;          ///< superblocks the worker formatted into bins
-    Counter bg_drains;           ///< blocks the worker settled from remote queues
-    Counter bg_precommits;       ///< spans the worker pre-committed in the provider
     Counter bg_purges;           ///< purge passes run on the worker's cadence
 
     /**

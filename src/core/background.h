@@ -1,13 +1,13 @@
 /**
  * @file
- * Asynchronous background allocation engine: the lifecycle shell and
- * work-hint plumbing for a helper core that runs the allocator's slow
- * maintenance off the foreground critical path.
+ * Asynchronous background allocation engine: the lifecycle shell for a
+ * helper core that runs the allocator's slow maintenance off the
+ * foreground critical path.
  *
  * The engine owns *when* the worker runs, never *what* it does — the
- * jobs themselves (global-bin refill, remote-free settling, span
- * pre-commit, cadenced purge) live in HoardAllocator::bg_step(), so
- * the identical job code executes under both policies:
+ * two jobs (global-bin refill and the cadenced purge pass) live in
+ * HoardAllocator::bg_step(), so the identical job code executes under
+ * both policies:
  *
  *  - **NativePolicy** (kBackgroundThread == true): BackgroundEngine
  *    spawns one worker thread with raw pthread_create.  std::thread is
@@ -27,13 +27,10 @@
  *    like any workload fiber, so replays stay byte-identical and the
  *    deadlock detector never sees an unbounded spinner.
  *
- * Foreground paths communicate with the worker two ways, both wait-free
- * for the foreground: per-heap / per-class watermark counters updated
- * with one relaxed store (HeapBase::remote_depth, GlobalBin::
- * fetch_misses), which the worker scans every pass, and the
- * WorkHintQueue below, a lock-free bounded MPSC queue of packed hints
- * that lets a cold-path miss name the exact size class needing a
- * refill so the next pass services it first.
+ * Foreground paths talk to the worker through one channel, wait-free
+ * for the foreground: the per-class GlobalBin::fetch_misses demand
+ * counter, bumped with one relaxed store on the already-cold bin-miss
+ * path and scanned by the worker on every pass.
  */
 
 #ifndef HOARD_CORE_BACKGROUND_H_
@@ -43,96 +40,9 @@
 #include <time.h>
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 
 namespace hoard {
-namespace detail {
-
-/**
- * Lock-free bounded queue of packed work hints (Vyukov bounded-queue
- * scheme: one sequence word per cell arbitrates producers and the
- * consumer without a lock).  Multi-producer — any foreground thread on
- * a cold path — single-consumer (the worker).  Hints are *droppable by
- * design*: a push against a full ring returns false and counts the
- * drop, because every hint is recoverable from the watermark counters
- * the worker scans anyway; losing one costs at most one pass of
- * latency, never correctness.
- *
- * A hint packs an 8-bit Kind with a 24-bit argument.  Kind::none never
- * enters the queue, so the packed value 0 can serve as pop()'s "empty"
- * sentinel.
- */
-class WorkHintQueue
-{
-  public:
-    enum class Kind : std::uint32_t
-    {
-        none = 0,    ///< never queued; reserves packed value 0
-        refill = 1,  ///< arg = size class whose global bin ran dry
-    };
-
-    /** Ring capacity; power of two.  256 outstanding hints is far past
-        anything a pass-per-millisecond worker can fall behind by. */
-    static constexpr std::size_t kSlots = 256;
-
-    WorkHintQueue();
-
-    WorkHintQueue(const WorkHintQueue&) = delete;
-    WorkHintQueue& operator=(const WorkHintQueue&) = delete;
-
-    /** Enqueues one hint; false (and a drop count) when full.  Any
-        thread; lock-free; @p kind must not be Kind::none. */
-    bool push(Kind kind, std::uint32_t arg);
-
-    /** Dequeues the oldest hint, or 0 when empty.  Worker only. */
-    std::uint32_t pop();
-
-    /** Discards everything queued (fork-child repair). */
-    void clear();
-
-    static Kind
-    kind_of(std::uint32_t hint)
-    {
-        return static_cast<Kind>(hint >> 24);
-    }
-
-    static std::uint32_t
-    arg_of(std::uint32_t hint)
-    {
-        return hint & 0x00ffffffu;
-    }
-
-    /** Hints lost to a full ring (telemetry; monotone). */
-    std::uint64_t
-    dropped() const
-    {
-        return dropped_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    static std::uint32_t
-    pack(Kind kind, std::uint32_t arg)
-    {
-        return (static_cast<std::uint32_t>(kind) << 24) |
-               (arg & 0x00ffffffu);
-    }
-
-    /// One ring cell: `seq` runs ahead of the ticket counters to mark
-    /// the cell writable (seq == ticket) or readable (seq == ticket+1).
-    struct Cell
-    {
-        std::atomic<std::uint32_t> seq{0};
-        std::uint32_t value = 0;
-    };
-
-    Cell cells_[kSlots];
-    std::atomic<std::uint32_t> head_{0};  ///< producers' ticket
-    std::atomic<std::uint32_t> tail_{0};  ///< consumer's ticket
-    std::atomic<std::uint64_t> dropped_{0};
-};
-
-}  // namespace detail
 
 /**
  * Lifecycle shell for the background worker: spawn, interval waits,

@@ -77,10 +77,6 @@ Config::validate() const
         HOARD_FATAL("bg_interval_ticks (%llu) must be >= 1",
                     static_cast<unsigned long long>(bg_interval_ticks));
     }
-    if (bg_drain_threshold < 1) {
-        HOARD_FATAL("bg_drain_threshold (%u) must be >= 1",
-                    bg_drain_threshold);
-    }
 }
 
 }  // namespace hoard

@@ -267,23 +267,21 @@ struct Config
      * Arm the asynchronous background engine (src/core/background.h):
      * a helper worker — a native thread under NativePolicy, a
      * cooperative fiber body under SimPolicy — that replenishes global
-     * bins below their low watermark, settles remote-free queues whose
-     * depth hint crosses bg_drain_threshold, pre-commits spans in the
-     * page provider, and runs the purge pass on its own cadence
-     * (removing the countdown election from the deallocate tail).
-     * Off by default: the foreground paths keep only the relaxed
-     * watermark stores they already perform, and purge election is
-     * folded into the existing armed flag, so the disarmed hot path
-     * is unchanged (micro_obs_overhead gates it).  HOARD_BG under the
-     * facade.
+     * bins below their low watermark and runs the purge pass on its
+     * own cadence (removing the countdown election from the
+     * deallocate tail).  Off by default: the foreground paths keep
+     * only the relaxed demand-counter store they already perform, and
+     * purge election is folded into the existing armed flag, so the
+     * disarmed hot path is unchanged (micro_obs_overhead gates it).
+     * HOARD_BG under the facade.
      */
     bool background_engine = false;
 
     /**
      * Policy-time gap between background-worker wakeups (steady-clock
      * nanoseconds under NativePolicy, virtual cycles under SimPolicy).
-     * Each wakeup runs one full pass: hint drain, bin-watermark scan,
-     * remote-queue settle, provider pre-commit, purge cadence check.
+     * Each wakeup runs one full pass: the bin-refill scan over every
+     * size class, then the purge cadence check.
      * Must be >= 1.  HOARD_BG_INTERVAL under the facade.
      */
     std::uint64_t bg_interval_ticks = 1 << 20;
@@ -297,22 +295,6 @@ struct Config
      * through to fresh_map.  0 disables the refill job.
      */
     std::uint32_t bg_refill_watermark = 2;
-
-    /**
-     * Remote-free queue depth (per heap, approximate — maintained with
-     * relaxed stores on the push path) at which the background worker
-     * settles the queue, acquiring the owner lock only when its
-     * is_locked_hint probe says it is free.  Must be >= 1.
-     */
-    std::uint32_t bg_drain_threshold = 16;
-
-    /**
-     * Superblock spans the background worker keeps pre-committed in
-     * the page provider's recycle stacks, so a foreground fresh-map
-     * miss pops a warm span instead of paying mprotect plus the first
-     * soft fault.  0 disables the pre-commit job.
-     */
-    std::uint32_t bg_precommit_spans = 4;
 
     /**
      * What deallocate() does when the hardened free path rejects a

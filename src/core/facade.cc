@@ -9,6 +9,7 @@
 #include <ostream>
 #include <thread>
 
+#include "common/env.h"
 #include "common/mathutil.h"
 #include "obs/trace_export.h"
 
@@ -32,104 +33,59 @@ global_instance()
         Config config;
         unsigned hw = std::thread::hardware_concurrency();
         config.heap_count = hw == 0 ? 1 : static_cast<int>(hw);
+        // Environment knobs (docs/SHIM.md), read strictly: a malformed
+        // or out-of-range value is reported on stderr and the default
+        // stays.  None of them can abort the process.
+        //
         // HOARD_HARDENED_FREE=0 restores the trusting free path;
-        // HOARD_BAD_FREE=warn counts-and-leaks instead of aborting —
-        // both tunable without a rebuild, like HOARD_OBS.
-        if (const char* v = std::getenv("HOARD_HARDENED_FREE"))
-            config.hardened_free = v[0] != '0';
+        // HOARD_BAD_FREE=warn counts-and-leaks instead of aborting.
+        detail::env_flag("HOARD_HARDENED_FREE", &config.hardened_free);
         if (const char* v = std::getenv("HOARD_BAD_FREE")) {
             if (std::strcmp(v, "warn") == 0)
                 config.on_bad_free = Config::BadFreePolicy::warn;
             else if (std::strcmp(v, "fatal") == 0)
                 config.on_bad_free = Config::BadFreePolicy::fatal;
+            else
+                detail::report_bad_env("HOARD_BAD_FREE", v,
+                                       "warn or fatal");
         }
-        // HOARD_PROFILE_RATE=<mean bytes between samples> arms the
-        // sampling heap profiler (docs/PROFILING.md); "1" samples
-        // every allocation, unset/0 keeps it off.
-        if (const char* v = std::getenv("HOARD_PROFILE_RATE")) {
-            char* end = nullptr;
-            unsigned long long rate = std::strtoull(v, &end, 10);
-            if (end != v)
-                config.profile_sample_rate =
-                    static_cast<std::size_t>(rate);
-        }
-        // HOARD_LATENCY=1 arms the per-path latency histograms
-        // (obs::latency_env_enabled is also checked in the allocator
-        // constructor, so the config knob here is belt-and-braces);
-        // HOARD_LATENCY_PERIOD tunes the fast-path timing sample
-        // period (1 = time every op), and HOARD_LATENCY_OUTLIER sets
-        // the outlier-trace threshold in cycles (docs/OBSERVABILITY.md).
+        // Sampling heap profiler (docs/PROFILING.md): mean bytes
+        // between samples, 1 samples every allocation, 0 is off.
+        detail::env_number("HOARD_PROFILE_RATE",
+                           &config.profile_sample_rate);
+        // Per-path latency histograms (docs/OBSERVABILITY.md):
+        // HOARD_LATENCY arms them (the allocator constructor also
+        // checks it), HOARD_LATENCY_PERIOD is the fast-path sample
+        // period (1 = every op), HOARD_LATENCY_OUTLIER the outlier
+        // threshold in cycles.
         if (obs::latency_env_enabled())
             config.latency_histograms = true;
-        if (const char* v = std::getenv("HOARD_LATENCY_PERIOD")) {
-            char* end = nullptr;
-            unsigned long long period = std::strtoull(v, &end, 10);
-            if (end != v && period >= 1)
-                config.latency_sample_period =
-                    static_cast<std::uint32_t>(period);
-        }
-        if (const char* v = std::getenv("HOARD_LATENCY_OUTLIER")) {
-            char* end = nullptr;
-            unsigned long long cycles = std::strtoull(v, &end, 10);
-            if (end != v)
-                config.latency_outlier_cycles = cycles;
-        }
-        // HOARD_SUPERBLOCK_BYTES=<pow2 >= 1024> overrides S without a
-        // rebuild (macro_rss runs the shim at 64 KiB so a purged
-        // superblock gives back everything but its header page).
-        // Invalid values are ignored rather than validated fatally —
-        // an env typo must not abort every process on the machine.
-        if (const char* v = std::getenv("HOARD_SUPERBLOCK_BYTES")) {
-            char* end = nullptr;
-            unsigned long long bytes = std::strtoull(v, &end, 10);
-            if (end != v && bytes >= 1024 &&
-                (bytes & (bytes - 1)) == 0 &&
-                config.min_block_bytes < bytes / 4)
-                config.superblock_bytes =
-                    static_cast<std::size_t>(bytes);
-        }
-        // HOARD_RSS_TARGET=<bytes> and HOARD_PURGE_AGE=<ns> arm the
-        // purge pass (docs/SHIM.md): automatic madvise decommit of
-        // idle empty superblocks, by committed-bytes target and/or
-        // idle age.  HOARD_PURGE_INTERVAL=<ns> tunes the minimum gap
-        // between automatic passes.
-        if (const char* v = std::getenv("HOARD_RSS_TARGET")) {
-            char* end = nullptr;
-            unsigned long long bytes = std::strtoull(v, &end, 10);
-            if (end != v)
-                config.rss_target_bytes =
-                    static_cast<std::size_t>(bytes);
-        }
-        if (const char* v = std::getenv("HOARD_PURGE_AGE")) {
-            char* end = nullptr;
-            unsigned long long ticks = std::strtoull(v, &end, 10);
-            if (end != v)
-                config.purge_age_ticks = ticks;
-        }
-        if (const char* v = std::getenv("HOARD_PURGE_INTERVAL")) {
-            char* end = nullptr;
-            unsigned long long ticks = std::strtoull(v, &end, 10);
-            if (end != v && ticks >= 1)
-                config.purge_interval_ticks = ticks;
-        }
-        // HOARD_BG=1 arms the asynchronous background engine (bin
-        // refill, remote-free settling, span pre-commit, cadenced
-        // purge off the foreground path — docs/ARCHITECTURE.md);
-        // HOARD_BG_INTERVAL=<ns> tunes the worker's pass cadence.
-        // The worker thread itself is spawned lazily below, never
-        // here: pthread_create can re-enter malloc (TLS setup on some
-        // libcs) and this lambda runs inside the magic static's
+        detail::env_number("HOARD_LATENCY_PERIOD",
+                           &config.latency_sample_period, 1);
+        detail::env_number("HOARD_LATENCY_OUTLIER",
+                           &config.latency_outlier_cycles);
+        // Superblock size S (macro_rss runs the shim at 64 KiB so a
+        // purged superblock gives back everything but its header).
+        detail::env_number("HOARD_SUPERBLOCK_BYTES",
+                           &config.superblock_bytes, 1024,
+                           std::size_t{1} << 30, /*pow2=*/true);
+        // Purge pass: decommit idle empty superblocks toward a
+        // committed-bytes target and/or past an idle age (ns), at
+        // most once per interval (ns).
+        detail::env_number("HOARD_RSS_TARGET", &config.rss_target_bytes);
+        detail::env_number("HOARD_PURGE_AGE", &config.purge_age_ticks);
+        detail::env_number("HOARD_PURGE_INTERVAL",
+                           &config.purge_interval_ticks, 1);
+        // Background engine (docs/ARCHITECTURE.md) and its pass
+        // interval (ns).  The worker thread is spawned lazily in
+        // global_allocator(), never here: pthread_create can re-enter
+        // malloc, and this lambda runs inside the magic static's
         // one-time initializer.
-        if (const char* v = std::getenv("HOARD_BG"))
-            config.background_engine = v[0] != '0';
-        if (const char* v = std::getenv("HOARD_BG_INTERVAL")) {
-            char* end = nullptr;
-            unsigned long long ticks = std::strtoull(v, &end, 10);
-            if (end != v && ticks >= 1)
-                config.bg_interval_ticks = ticks;
-        }
+        detail::env_flag("HOARD_BG", &config.background_engine);
+        detail::env_number("HOARD_BG_INTERVAL", &config.bg_interval_ticks,
+                           1);
         // HOARD_TIMELINE=<path> arms the gauge time-series sampler so
-        // the LD_PRELOAD shim can dump the v5 timeline there at exit
+        // the LD_PRELOAD shim can dump the timeline there at exit
         // (docs/SHIM.md); the 1 ms default interval keeps a long run's
         // ring meaningful without measurable sampling cost.
         if (const char* v = std::getenv("HOARD_TIMELINE")) {
@@ -195,11 +151,12 @@ hoard_calloc(std::size_t count, std::size_t size)
     void* p = hoard_malloc(bytes);
     if (p == nullptr)
         return nullptr;  // errno set by hoard_malloc
-    // Huge allocations come straight from freshly mapped pages, which
-    // the provider guarantees zeroed, and huge spans are never
-    // recycled — skipping the memset makes calloc of large buffers
-    // O(1).  Small blocks recycle through free lists and magazines,
-    // so they must be cleared.
+    // Huge allocations need no memset: the provider's map() returns
+    // zeroed pages.  ReservedArenaProvider does recycle huge spans, but
+    // every huge free decommits its span (MADV_DONTNEED), so a reused
+    // span refaults as zero pages.  Keeping freed huge spans committed
+    // would make this skip wrong.  Small blocks recycle through free
+    // lists and magazines, so they must be cleared.
     if (global_allocator().size_classes().class_for(
             bytes == 0 ? 1 : bytes) != SizeClasses::kHuge)
         std::memset(p, 0, bytes);

@@ -76,15 +76,6 @@ struct HeapBase
      */
     std::atomic<void*> remote_head{nullptr};
 
-    /**
-     * Approximate pending-chain depth, the background engine's settle
-     * watermark: pushers bump it relaxed (a hint, never synchronization
-     * — a torn or stale read costs one early or late settle pass, never
-     * correctness) and the drain zeroes it.  The worker compares it
-     * against Config::bg_drain_threshold without taking the lock.
-     */
-    std::atomic<std::uint32_t> remote_depth{0};
-
     /** Cheap empty test so the drain's exchange is skipped when idle. */
     bool
     remote_pending() const
@@ -102,9 +93,6 @@ struct HeapBase
         } while (!remote_head.compare_exchange_weak(
             old, block, std::memory_order_release,
             std::memory_order_relaxed));
-        remote_depth.store(
-            remote_depth.load(std::memory_order_relaxed) + 1,
-            std::memory_order_relaxed);
     }
 
     /**
@@ -114,7 +102,6 @@ struct HeapBase
     void*
     remote_drain()
     {
-        remote_depth.store(0, std::memory_order_relaxed);
         return remote_head.exchange(nullptr, std::memory_order_acquire);
     }
 };
@@ -240,7 +227,7 @@ struct GlobalBin : HeapBase<Policy>
     std::atomic<std::uint32_t> occupancy{0};
 
     /**
-     * Demand hint for the background refill job: fetch_from_global
+     * Demand counter for the background refill job: fetch_from_global
      * bumps it (relaxed, on the already-cold miss path) whenever the
      * occupancy probe found the bin empty.  The worker refills only
      * classes whose demand advanced since its last pass, so idle

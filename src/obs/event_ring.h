@@ -56,8 +56,6 @@ enum class EventKind : std::uint16_t
     latency_outlier,      ///< op exceeded Config::latency_outlier_cycles
     bg_wakeup,            ///< background worker started a pass
     bg_refill,            ///< worker formatted a superblock into a bin
-    bg_drain,             ///< worker settled a heap's remote-free queue
-    bg_precommit,         ///< worker pre-committed spans in the provider
     bg_purge,             ///< worker ran the purge pass on its cadence
     kCount
 };
@@ -99,10 +97,6 @@ to_string(EventKind kind)
         return "bg_wakeup";
       case EventKind::bg_refill:
         return "bg_refill";
-      case EventKind::bg_drain:
-        return "bg_drain";
-      case EventKind::bg_precommit:
-        return "bg_precommit";
       case EventKind::bg_purge:
         return "bg_purge";
       case EventKind::kCount:

@@ -10,7 +10,8 @@
  *    allocator is removed by `if constexpr` on Policy::kObsEnabled and
  *    the hot paths are bit-identical to an uninstrumented build.
  *  - Run time: Config::observability, OR-ed with the HOARD_OBS
- *    environment variable ("1"/"true"/"on").  When off (the default),
+ *    environment flag (common/env.h: 1/true/on or 0/false/off; any
+ *    other value is reported and ignored).  When off (the default),
  *    the only residual cost on the hot path is one predictable branch
  *    on a plain bool.
  *
@@ -23,8 +24,7 @@
 #ifndef HOARD_OBS_GATING_H_
 #define HOARD_OBS_GATING_H_
 
-#include <cstdlib>
-#include <cstring>
+#include "common/env.h"
 
 // Builds that bypass CMake get the instrumented default.
 #ifndef HOARD_OBS
@@ -46,31 +46,28 @@ inline constexpr bool kCompiledIn = HOARD_OBS != 0;
 /** True when the sampling heap profiler is compiled into this build. */
 inline constexpr bool kProfilerCompiledIn = HOARD_PROFILER != 0;
 
-/** True when the HOARD_OBS environment variable requests tracing. */
+/** True when the HOARD_OBS environment flag requests tracing.  Read
+    once per process, so a bad value is reported once. */
 inline bool
 env_enabled()
 {
     static const bool enabled = [] {
-        const char* v = std::getenv("HOARD_OBS");
-        if (v == nullptr)
-            return false;
-        return std::strcmp(v, "1") == 0 || std::strcmp(v, "true") == 0 ||
-               std::strcmp(v, "on") == 0;
+        bool on = false;
+        detail::env_flag("HOARD_OBS", &on);
+        return on;
     }();
     return enabled;
 }
 
-/** True when the HOARD_LATENCY environment variable arms the latency
-    histograms (same value grammar as HOARD_OBS). */
+/** True when the HOARD_LATENCY environment flag arms the latency
+    histograms. */
 inline bool
 latency_env_enabled()
 {
     static const bool enabled = [] {
-        const char* v = std::getenv("HOARD_LATENCY");
-        if (v == nullptr)
-            return false;
-        return std::strcmp(v, "1") == 0 || std::strcmp(v, "true") == 0 ||
-               std::strcmp(v, "on") == 0;
+        bool on = false;
+        detail::env_flag("HOARD_LATENCY", &on);
+        return on;
     }();
     return enabled;
 }

@@ -167,8 +167,6 @@ struct StatsSummary
     std::uint64_t bad_free_double = 0;
     std::uint64_t bg_wakeups = 0;
     std::uint64_t bg_refills = 0;
-    std::uint64_t bg_drains = 0;
-    std::uint64_t bg_precommits = 0;
     std::uint64_t bg_purges = 0;
 };
 

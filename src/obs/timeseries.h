@@ -55,7 +55,7 @@ struct TimeSample
     std::uint64_t timestamp = 0;
     std::uint64_t in_use = 0;        ///< global gauge U
     std::uint64_t held = 0;          ///< global gauge A
-    /// @name Virtual-memory split (schema hoard-timeline-v4).
+    /// @name Virtual-memory split.
     /// committed is the RSS ground truth; reserved is provider address
     /// space; purged is held-but-decommitted.  committed + purged ==
     /// held at quiescence.
@@ -73,34 +73,31 @@ struct TimeSample
     std::uint64_t bin_misses = 0;    ///< bin probes finding the class empty
     std::uint64_t cache_pushes = 0;  ///< empties retired to the reuse cache
     std::uint64_t cache_pops = 0;    ///< empties recycled from the cache
-    /// @name Hardened-free rejections (schema hoard-timeline-v2).
+    /// @name Hardened-free rejections.
     /// @{
     std::uint64_t bad_free_wild = 0;
     std::uint64_t bad_free_foreign = 0;
     std::uint64_t bad_free_interior = 0;
     std::uint64_t bad_free_double = 0;
     /// @}
-    /// @name Heap-profiler sampled totals (v2; zero when disarmed).
+    /// @name Heap-profiler sampled totals (zero when disarmed).
     /// @{
     std::uint64_t prof_requested = 0;  ///< sampled requested bytes
     std::uint64_t prof_rounded = 0;    ///< sampled size-class bytes
     /// @}
-    /// @name Per-path latency series (schema hoard-timeline-v3;
-    /// zeros when the latency histograms are disarmed).  Indexed by
+    /// @name Per-path latency series (zeros when the latency
+    /// histograms are disarmed).  Indexed by
     /// LatencyPath; p99 is in policy cycles, cumulative-to-date.
     /// @{
     std::array<std::uint64_t, kLatencyPathCount> lat_counts{};
     std::array<std::uint64_t, kLatencyPathCount> lat_p99{};
     /// @}
-    /// @name Background-engine counters (schema hoard-timeline-v5;
-    /// zeros while the engine is disarmed).  Cumulative, like every
-    /// other counter here.
+    /// @name Background-engine counters (zeros while the engine is
+    /// disarmed).  Cumulative, like every other counter here.
     /// @{
-    std::uint64_t bg_wakeups = 0;     ///< worker passes
-    std::uint64_t bg_refills = 0;     ///< bin refills parked
-    std::uint64_t bg_drains = 0;      ///< remote-queue settle passes
-    std::uint64_t bg_precommits = 0;  ///< spans pre-committed
-    std::uint64_t bg_purges = 0;      ///< cadenced purge passes run
+    std::uint64_t bg_wakeups = 0;  ///< worker passes
+    std::uint64_t bg_refills = 0;  ///< bin refills parked
+    std::uint64_t bg_purges = 0;   ///< cadenced purge passes run
     /// @}
     std::vector<HeapPoint> heaps;    ///< [0] is the global heap
 
@@ -210,7 +207,7 @@ class TimeSeriesSampler
             slot_->cached.store(cached, std::memory_order_relaxed);
         }
 
-        /** Virtual-memory split gauges (schema v4). */
+        /** Virtual-memory split gauges. */
         void
         set_vm(std::uint64_t reserved, std::uint64_t purged)
         {
@@ -255,19 +252,15 @@ class TimeSeriesSampler
             slot_->bad_free_double.store(dbl, std::memory_order_relaxed);
         }
 
-        /** Background-engine counters (schema v5). */
+        /** Background-engine counters. */
         void
         set_bg(std::uint64_t wakeups, std::uint64_t refills,
-               std::uint64_t drains, std::uint64_t precommits,
                std::uint64_t purges)
         {
             slot_->bg_wakeups.store(wakeups,
                                     std::memory_order_relaxed);
             slot_->bg_refills.store(refills,
                                     std::memory_order_relaxed);
-            slot_->bg_drains.store(drains, std::memory_order_relaxed);
-            slot_->bg_precommits.store(precommits,
-                                       std::memory_order_relaxed);
             slot_->bg_purges.store(purges, std::memory_order_relaxed);
         }
 
@@ -424,10 +417,6 @@ class TimeSeriesSampler
                 slot.bg_wakeups.load(std::memory_order_relaxed);
             sample.bg_refills =
                 slot.bg_refills.load(std::memory_order_relaxed);
-            sample.bg_drains =
-                slot.bg_drains.load(std::memory_order_relaxed);
-            sample.bg_precommits =
-                slot.bg_precommits.load(std::memory_order_relaxed);
             sample.bg_purges =
                 slot.bg_purges.load(std::memory_order_relaxed);
             for (std::size_t p = 0; p < sample.lat_counts.size(); ++p) {
@@ -474,8 +463,6 @@ class TimeSeriesSampler
         std::atomic<std::uint64_t> prof_rounded{0};
         std::atomic<std::uint64_t> bg_wakeups{0};
         std::atomic<std::uint64_t> bg_refills{0};
-        std::atomic<std::uint64_t> bg_drains{0};
-        std::atomic<std::uint64_t> bg_precommits{0};
         std::atomic<std::uint64_t> bg_purges{0};
         std::array<std::atomic<std::uint64_t>, kLatencyPathCount>
             lat_counts{};

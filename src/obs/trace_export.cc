@@ -118,10 +118,8 @@ void
 write_timeseries_jsonl(std::ostream& os, const TimeSeriesSampler& sampler)
 {
     for (const TimeSample& s : sampler.collect()) {
-        // "os" is kept as an alias of committed for v1-v3 consumers.
-        os << "{\"schema\":\"hoard-timeline-v5\",\"ts\":" << s.timestamp
+        os << "{\"schema\":\"hoard-timeline-v6\",\"ts\":" << s.timestamp
            << ",\"in_use\":" << s.in_use << ",\"held\":" << s.held
-           << ",\"os\":" << s.committed_bytes
            << ",\"committed\":" << s.committed_bytes
            << ",\"reserved\":" << s.reserved_bytes
            << ",\"purged\":" << s.purged_bytes
@@ -141,8 +139,6 @@ write_timeseries_jsonl(std::ostream& os, const TimeSeriesSampler& sampler)
            << ",\"prof_sampled_rounded\":" << s.prof_rounded
            << ",\"bg_wakeups\":" << s.bg_wakeups
            << ",\"bg_refills\":" << s.bg_refills
-           << ",\"bg_drains\":" << s.bg_drains
-           << ",\"bg_precommits\":" << s.bg_precommits
            << ",\"bg_purges\":" << s.bg_purges;
         for (int p = 0; p < kLatencyPathCount; ++p) {
             const char* name = to_string(static_cast<LatencyPath>(p));
@@ -373,9 +369,6 @@ write_prometheus(std::ostream& os, const AllocatorSnapshot& snap)
     prom_header(os, "hoard_held_bytes", "gauge",
                 "bytes held in superblocks (A)");
     os << "hoard_held_bytes " << s.held_bytes << '\n';
-    prom_header(os, "hoard_os_bytes", "gauge",
-                "deprecated alias of hoard_committed_bytes");
-    os << "hoard_os_bytes " << s.committed_bytes << '\n';
     prom_header(os, "hoard_committed_bytes", "gauge",
                 "OS-committed bytes (RSS ground truth)");
     os << "hoard_committed_bytes " << s.committed_bytes << '\n';
@@ -455,12 +448,6 @@ write_prometheus(std::ostream& os, const AllocatorSnapshot& snap)
     prom_header(os, "hoard_bg_refills_total", "counter",
                 "global-bin superblocks parked by the background worker");
     os << "hoard_bg_refills_total " << s.bg_refills << '\n';
-    prom_header(os, "hoard_bg_drains_total", "counter",
-                "remote-free queues settled by the background worker");
-    os << "hoard_bg_drains_total " << s.bg_drains << '\n';
-    prom_header(os, "hoard_bg_precommits_total", "counter",
-                "spans pre-committed ahead of demand");
-    os << "hoard_bg_precommits_total " << s.bg_precommits << '\n';
     prom_header(os, "hoard_bg_purges_total", "counter",
                 "purge passes run on the background cadence");
     os << "hoard_bg_purges_total " << s.bg_purges << '\n';
@@ -497,9 +484,7 @@ write_human(std::ostream& os, const AllocatorSnapshot& snap)
     }
     if (snap.stats.bg_wakeups != 0) {
         os << "  background: wakeups " << snap.stats.bg_wakeups
-           << " refills " << snap.stats.bg_refills << " drains "
-           << snap.stats.bg_drains << " precommits "
-           << snap.stats.bg_precommits << " purges "
+           << " refills " << snap.stats.bg_refills << " purges "
            << snap.stats.bg_purges << "\n";
     }
     os << "  reconciles: " << (snap.reconciles() ? "yes" : "no")

@@ -78,7 +78,8 @@ json_escape(const std::string& text)
  * to the format's microseconds: 1000 for NativePolicy nanoseconds, 1
  * to map one virtual cycle to 1 us for SimPolicy traces.  When
  * @p sampler is non-null its retained samples are added as Chrome
- * counter tracks ("ph":"C": in-use/held/os/cached bytes and blowup),
+ * counter tracks ("ph":"C": in-use/held/committed/reserved/purged/
+ * cached bytes and blowup),
  * drawn above the instant events in chrome://tracing.
  */
 void write_chrome_trace(std::ostream& os, const EventRecorder& recorder,
@@ -87,23 +88,21 @@ void write_chrome_trace(std::ostream& os, const EventRecorder& recorder,
 
 /**
  * Writes the sampler's retained samples as JSONL, one
- * {"schema":"hoard-timeline-v5", ...} object per line, oldest first:
- * policy-time timestamp, the global gauges and counters, blowup, and
- * a "heaps" array of per-heap {"u":..,"a":..} points (index 0 is the
- * global heap).  v2 renames v1's "bin_hits"/"bin_misses" to
- * "global_bin_hits"/"global_bin_misses" and adds the "bad_free_*"
- * rejection counters and the profiler's "prof_sampled_requested"/
- * "prof_sampled_rounded" byte totals.  v3 adds per-path operation
- * latency: "lat_<path>_n" (cumulative op count) and "lat_<path>_p99"
- * (cumulative P99 in policy cycles) for each obs::LatencyPath, zeros
- * when the latency histograms are disarmed.  v4 splits the footprint
- * gauges for the virtual-memory-first page layer: "committed" (the
- * RSS ground truth; "os" remains as a deprecated alias), "reserved"
- * (provider address space), and "purged" (held-but-decommitted, so
- * committed + purged == held at quiescence).  v5 adds the
- * background-engine counters "bg_wakeups", "bg_refills", "bg_drains",
- * "bg_precommits", and "bg_purges", zeros while the engine is
- * disarmed; bench_compare --timeline reads all five schemas.
+ * {"schema":"hoard-timeline-v6", ...} object per line, oldest first:
+ * policy-time timestamp; the footprint gauges "in_use", "held",
+ * "committed" (the RSS ground truth), "reserved" (provider address
+ * space), "purged" (held-but-decommitted, so committed + purged ==
+ * held at quiescence), and "cached"; the cumulative counters
+ * "allocs", "frees", "transfers", "global_fetches",
+ * "global_bin_hits"/"global_bin_misses", "cache_pushes"/"cache_pops",
+ * the "bad_free_*" rejections, the profiler's
+ * "prof_sampled_requested"/"prof_sampled_rounded" byte totals, and
+ * the background engine's "bg_wakeups", "bg_refills", "bg_purges";
+ * per-path "lat_<path>_n" (op count) and "lat_<path>_p99" (P99 in
+ * policy cycles) for each obs::LatencyPath; "blowup"; and a "heaps"
+ * array of per-heap {"u":..,"a":..} points (index 0 is the global
+ * heap).  Disarmed subsystems report zeros.  docs/OBSERVABILITY.md
+ * lists the keys each schema version removed.
  */
 void write_timeseries_jsonl(std::ostream& os,
                             const TimeSeriesSampler& sampler);

@@ -4,10 +4,10 @@
 #include <unistd.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <new>
 
+#include "common/env.h"
 #include "common/failure.h"
 #include "common/mathutil.h"
 #include "os/reserved_arena.h"
@@ -23,17 +23,6 @@ page_size()
     static const std::size_t ps =
         static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
     return ps;
-}
-
-std::size_t
-env_size(const char* name, std::size_t fallback)
-{
-    const char* v = std::getenv(name);
-    if (v == nullptr)
-        return fallback;
-    char* end = nullptr;
-    unsigned long long parsed = std::strtoull(v, &end, 10);
-    return end != v ? static_cast<std::size_t>(parsed) : fallback;
 }
 
 }  // namespace
@@ -136,12 +125,14 @@ default_page_provider()
     alignas(ReservedArenaProvider) static unsigned char
         storage[sizeof(ReservedArenaProvider)];
     static ReservedArenaProvider* provider = [] {
+        // The arena normalizes both sizes onto its grid (power-of-two
+        // spans of at most 2 GiB, whole spans per arena).
         ReservedArenaProvider::Options opt;
-        opt.arena_bytes =
-            env_size("HOARD_ARENA_BYTES", opt.arena_bytes);
-        opt.max_span_bytes =
-            env_size("HOARD_ARENA_SPAN", opt.max_span_bytes);
-        opt.huge_pages = env_size("HOARD_HUGEPAGE", 0) != 0;
+        detail::env_number("HOARD_ARENA_BYTES", &opt.arena_bytes, 0,
+                           std::size_t{1} << 40);
+        detail::env_number("HOARD_ARENA_SPAN", &opt.max_span_bytes, 0,
+                           std::size_t{1} << 31);
+        detail::env_flag("HOARD_HUGEPAGE", &opt.huge_pages);
         return new (storage) ReservedArenaProvider(opt);
     }();
     return *provider;

@@ -98,14 +98,11 @@ class PageProvider
     virtual void unpurge(void* /* p */, std::size_t /* bytes */) {}
 
     /**
-     * Pre-commit seam for the background engine: makes up to @p count
-     * recyclable spans of @p bytes immediately mappable with zero
-     * syscalls, paying any mprotect here — off the foreground critical
-     * path — instead of inside a later map().  Best effort and purely
-     * an optimization: the committed gauge is untouched (an RW
-     * protection change commits no physical pages) and a provider with
-     * no reservation machinery has nothing to warm, hence the no-op
-     * default.  Returns the number of spans actually transitioned.
+     * Optional pre-commit hint: a provider may make up to @p count
+     * recyclable spans of @p bytes mappable ahead of demand.  The
+     * allocator never calls it; the no-op default stays so provider
+     * decorators that forward it keep compiling.  Returns the number
+     * of spans transitioned.
      */
     virtual std::size_t
     prewarm(std::size_t /* bytes */, std::size_t /* count */)

@@ -428,58 +428,6 @@ ReservedArenaProvider::unmap(void* p, std::size_t bytes)
     }
 }
 
-std::size_t
-ReservedArenaProvider::prewarm(std::size_t bytes, std::size_t count)
-{
-    const int order = order_for(bytes, 1);
-    if (order < 0 || count == 0)
-        return 0;
-    const std::size_t span = std::size_t{1} << order;
-
-    // Hold the examined spans privately: a concurrent map() simply
-    // misses them and carves its own, so no lock is needed and the
-    // result is only ever conservative.
-    constexpr std::size_t kCap = 64;
-    if (count > kCap)
-        count = kCap;
-    std::uintptr_t held[kCap];
-    bool rw[kCap];
-    std::size_t n = 0;
-    while (n < count) {
-        SpanNode* node = pop_node(free_spans_[order]);
-        if (node == nullptr)
-            break;
-        held[n] = node->base;
-        rw[n] = node->rw;
-        ++n;
-        free_node(node);
-    }
-    // Shortfall: carve ahead of demand (splits and fresh bump carves
-    // arrive cold and get committed below).
-    while (n < count) {
-        bool carved_rw = false;
-        const std::uintptr_t base = take_span(order, &carved_rw);
-        if (base == 0)
-            break;
-        held[n] = base;
-        rw[n] = carved_rw;
-        ++n;
-    }
-
-    std::size_t transitioned = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!rw[i]) {
-            commit_calls_.add();
-            if (os_commit(reinterpret_cast<void*>(held[i]), span)) {
-                rw[i] = true;
-                ++transitioned;
-            }
-        }
-        park_span(held[i], order, rw[i]);
-    }
-    return transitioned;
-}
-
 bool
 ReservedArenaProvider::purge(void* p, std::size_t bytes)
 {

@@ -108,17 +108,6 @@ class ReservedArenaProvider : public PageProvider
     bool purge(void* p, std::size_t bytes) override;
     void unpurge(void* p, std::size_t bytes) override;
 
-    /**
-     * Ensures at least @p count spans of @p bytes sit on the order's
-     * free stack already READ|WRITE, committing fresh carves as needed
-     * so a later map() is one tagged pop with zero syscalls.  Racing
-     * foreground maps make this best-effort: a span popped while being
-     * examined is simply handed out warm.  Returns the spans newly
-     * committed (the precommit telemetry the bg_precommits counter
-     * aggregates).
-     */
-    std::size_t prewarm(std::size_t bytes, std::size_t count) override;
-
     /// @name Telemetry (diagnostics; not part of any reconciliation).
     /// @{
     std::uint64_t reservations() const { return reservations_.get(); }

@@ -48,9 +48,9 @@ struct CostModel
     std::uint64_t os_purge = 900;       ///< decommitting a span (madvise)
     std::uint64_t transfer = 120;       ///< heap <-> global superblock move
     std::uint64_t bg_wakeup = 40;       ///< background-worker pass overhead
-                                        ///< (hint-queue drain + watermark
-                                        ///< scan, before any job charges
-                                        ///< its own os_*/transfer costs)
+                                        ///< (demand scan, before any job
+                                        ///< charges its own os_*/transfer
+                                        ///< costs)
 };
 
 }  // namespace sim

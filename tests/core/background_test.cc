@@ -1,9 +1,9 @@
 /**
  * @file
- * Unit tests for the background engine's plumbing: the WorkHintQueue's
- * packing/drop/clear semantics and the BackgroundEngine lifecycle —
- * arm/disarm idempotence, the idle-wakeup cadence, kick(), and the
- * sim world's inert-engine / worker-fiber analogue.
+ * Unit tests for the background engine: the BackgroundEngine lifecycle
+ * — arm/disarm idempotence, the idle-wakeup cadence, kick(), and the
+ * sim world's inert-engine / worker-fiber analogue — and the refill
+ * job's demand gate.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <thread>
 
-#include "core/background.h"
 #include "core/hoard_allocator.h"
 #include "policy/native_policy.h"
 #include "policy/sim_policy.h"
@@ -23,7 +22,6 @@ namespace {
 
 using NativeHoard = HoardAllocator<NativePolicy>;
 using SimHoard = HoardAllocator<SimPolicy>;
-using detail::WorkHintQueue;
 
 /** Polls @p done every millisecond for up to ~5 s. */
 template <typename Predicate>
@@ -36,56 +34,6 @@ eventually(Predicate done)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     return done();
-}
-
-TEST(WorkHintQueue, FifoOrderAndPacking)
-{
-    WorkHintQueue queue;
-    EXPECT_EQ(queue.pop(), 0u);  // empty: the reserved sentinel
-
-    EXPECT_TRUE(queue.push(WorkHintQueue::Kind::refill, 7));
-    EXPECT_TRUE(queue.push(WorkHintQueue::Kind::refill, 0x00ffffffu));
-
-    std::uint32_t hint = queue.pop();
-    ASSERT_NE(hint, 0u);
-    EXPECT_EQ(WorkHintQueue::kind_of(hint), WorkHintQueue::Kind::refill);
-    EXPECT_EQ(WorkHintQueue::arg_of(hint), 7u);
-
-    hint = queue.pop();
-    ASSERT_NE(hint, 0u);
-    EXPECT_EQ(WorkHintQueue::arg_of(hint), 0x00ffffffu);
-    EXPECT_EQ(queue.pop(), 0u);
-}
-
-TEST(WorkHintQueue, FullRingDropsAndCounts)
-{
-    WorkHintQueue queue;
-    for (std::size_t i = 0; i < WorkHintQueue::kSlots; ++i)
-        EXPECT_TRUE(queue.push(WorkHintQueue::Kind::refill,
-                               static_cast<std::uint32_t>(i)));
-    EXPECT_EQ(queue.dropped(), 0u);
-    EXPECT_FALSE(queue.push(WorkHintQueue::Kind::refill, 999));
-    EXPECT_FALSE(queue.push(WorkHintQueue::Kind::refill, 999));
-    EXPECT_EQ(queue.dropped(), 2u);
-
-    // Popping one slot makes the ring writable again.
-    EXPECT_EQ(WorkHintQueue::arg_of(queue.pop()), 0u);
-    EXPECT_TRUE(queue.push(WorkHintQueue::Kind::refill, 999));
-
-    // FIFO across the wrap: the oldest survivors come out first.
-    EXPECT_EQ(WorkHintQueue::arg_of(queue.pop()), 1u);
-}
-
-TEST(WorkHintQueue, ClearEmptiesTheRing)
-{
-    WorkHintQueue queue;
-    for (std::uint32_t i = 0; i < 10; ++i)
-        queue.push(WorkHintQueue::Kind::refill, i);
-    queue.clear();
-    EXPECT_EQ(queue.pop(), 0u);
-    // And the ring is fully reusable afterwards.
-    EXPECT_TRUE(queue.push(WorkHintQueue::Kind::refill, 42));
-    EXPECT_EQ(WorkHintQueue::arg_of(queue.pop()), 42u);
 }
 
 TEST(BackgroundEngine, DisarmedStartIsANoop)
@@ -182,6 +130,49 @@ TEST(BackgroundEngine, SimEngineIsInertAndFiberStepsInline)
     });
     machine.run();
     EXPECT_EQ(allocator.stats().bg_wakeups.get(), 3u);
+}
+
+/** Superblocks the global heap's bin holds for @p cls. */
+std::uint64_t
+global_superblocks(const obs::AllocatorSnapshot& snap, int cls)
+{
+    for (const obs::ClassSnapshot& cs : snap.heaps[0].classes) {
+        if (cs.size_class == cls)
+            return cs.superblocks;
+    }
+    return 0;
+}
+
+TEST(BackgroundRefill, OneMissParksOneSuperblockThenIdles)
+{
+    Config config;
+    config.background_engine = true;
+    SimHoard allocator(config);
+    const int cls = allocator.size_classes().class_for(64);
+
+    sim::Machine machine(1);
+    machine.spawn(0, 0, [&] {
+        SimPolicy::rebind_thread_index(0);
+        // A fresh allocator's first allocation misses the empty global
+        // bin: one fetch_misses bump, then a fresh map.
+        void* p = allocator.allocate(64);
+        ASSERT_NE(p, nullptr);
+        ASSERT_EQ(allocator.stats().global_bin_misses.get(), 1u);
+        EXPECT_EQ(global_superblocks(allocator.take_snapshot(), cls), 0u);
+
+        // One pass answers the one miss with one parked superblock.
+        allocator.bg_worker_sim(1);
+        EXPECT_EQ(allocator.stats().bg_refills.get(), 1u);
+        EXPECT_EQ(global_superblocks(allocator.take_snapshot(), cls), 1u);
+
+        // No new miss, no new demand: the next pass parks nothing.
+        allocator.bg_worker_sim(1);
+        EXPECT_EQ(allocator.stats().bg_wakeups.get(), 2u);
+        EXPECT_EQ(allocator.stats().bg_refills.get(), 1u);
+        EXPECT_EQ(global_superblocks(allocator.take_snapshot(), cls), 1u);
+        allocator.deallocate(p);
+    });
+    machine.run();
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <ostream>
 
 namespace hoard {
 namespace {
@@ -26,6 +27,16 @@ struct ConfigCase
     std::function<void(Config&)> mutate;
     const char* expected_message;
 };
+
+// A case prints as the death message it expects.  Without this gtest
+// prints its raw bytes — string-literal and std::function addresses
+// that move with every link and with ASLR — and gtest_discover_tests
+// folds that text into the ctest name.
+void
+PrintTo(const ConfigCase& c, std::ostream* os)
+{
+    *os << c.expected_message;
+}
 
 class ConfigValidationTest : public ::testing::TestWithParam<ConfigCase>
 {};

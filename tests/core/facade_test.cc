@@ -5,9 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
+
+#include "os/reserved_arena.h"
 
 namespace hoard {
 namespace {
@@ -83,6 +88,24 @@ TEST(Facade, CallocHugeIsZeroed)
         ASSERT_EQ(p[i], 0u) << "byte " << i;
     EXPECT_EQ(p[bytes - 1], 0u);
     hoard_free(p);
+}
+
+TEST(Facade, CallocRecycledHugeSpanIsZeroed)
+{
+    // The huge path skips calloc's memset.  ReservedArenaProvider
+    // recycles freed huge spans, so this holds only because every huge
+    // free decommits its span and the reused span refaults as zero
+    // pages.  A huge free that kept its span committed breaks this.
+    const std::size_t bytes = 256 * 1024;
+    auto* p = static_cast<unsigned char*>(hoard_malloc(bytes));
+    ASSERT_NE(p, nullptr);
+    std::memset(p, 0xee, bytes);
+    hoard_free(p);
+    auto* q = static_cast<unsigned char*>(hoard_calloc(1, bytes));
+    ASSERT_NE(q, nullptr);
+    for (std::size_t i = 0; i < bytes; ++i)
+        ASSERT_EQ(q[i], 0u) << "byte " << i;
+    hoard_free(q);
 }
 
 TEST(Facade, ErrnoSetOnMallocExhaustion)
@@ -178,6 +201,113 @@ TEST(Facade, MixedSizesStressRoundTrip)
     for (void* p : blocks)
         hoard_free(p);
     global_allocator().check_invariants();
+}
+
+/**
+ * The facade reads its HOARD_* knobs once, when the singleton is built,
+ * so each check runs in a fresh child process (threadsafe death-test
+ * style re-executes the binary).  The child builds the singleton with
+ * stderr captured, replays what it captured for the matcher, and exits
+ * 0 only when @p check holds for the captured text.
+ */
+template <typename Check>
+void
+build_singleton_and_exit(Check check)
+{
+    testing::internal::CaptureStderr();
+    global_allocator();
+    const std::string err = testing::internal::GetCapturedStderr();
+    std::fputs(err.c_str(), stderr);
+    std::exit(check(err) ? 0 : 1);
+}
+
+std::size_t
+count_lines(const std::string& text, const char* needle)
+{
+    std::size_t n = 0;
+    for (std::size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + 1))
+        ++n;
+    return n;
+}
+
+using FacadeEnvDeathTest = ::testing::Test;
+
+TEST(FacadeEnvDeathTest, MalformedKnobsAreReportedOnceAndIgnored)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    static const char* const kBad[][2] = {
+        {"HOARD_RSS_TARGET", "64M"},
+        {"HOARD_PURGE_AGE", "1s"},
+        {"HOARD_PURGE_INTERVAL", "-1"},
+        {"HOARD_PROFILE_RATE", "512K"},
+        {"HOARD_SUPERBLOCK_BYTES", "64K"},
+        {"HOARD_LATENCY_PERIOD", "12abc"},
+        {"HOARD_BG", ""},
+        {"HOARD_HARDENED_FREE", "yes"},
+        {"HOARD_LATENCY", "yes"},
+        {"HOARD_BAD_FREE", "log"},
+        {"HOARD_ARENA_SPAN", "4M"},
+    };
+    EXPECT_EXIT(
+        {
+            for (const auto& kv : kBad)
+                setenv(kv[0], kv[1], 1);
+            build_singleton_and_exit([](const std::string& err) {
+                const Config defaults;
+                const Config& c = global_allocator().config();
+                const auto* arena =
+                    dynamic_cast<const os::ReservedArenaProvider*>(
+                        &global_allocator().provider());
+                bool ok =
+                    c.rss_target_bytes == defaults.rss_target_bytes &&
+                    c.purge_age_ticks == defaults.purge_age_ticks &&
+                    c.purge_interval_ticks ==
+                        defaults.purge_interval_ticks &&
+                    c.profile_sample_rate ==
+                        defaults.profile_sample_rate &&
+                    c.superblock_bytes == defaults.superblock_bytes &&
+                    c.latency_sample_period ==
+                        defaults.latency_sample_period &&
+                    c.background_engine == defaults.background_engine &&
+                    c.hardened_free == defaults.hardened_free &&
+                    c.latency_histograms ==
+                        defaults.latency_histograms &&
+                    c.on_bad_free == defaults.on_bad_free &&
+                    arena != nullptr &&
+                    arena->options().max_span_bytes ==
+                        os::ReservedArenaProvider::Options()
+                            .max_span_bytes;
+                // Exactly one line per variable, and nothing else.
+                ok = ok && count_lines(err, "\n") == std::size(kBad);
+                for (const auto& kv : kBad) {
+                    const std::string line = std::string("hoard: ignoring ") +
+                                             kv[0] + "=\"" + kv[1] + "\"";
+                    ok = ok && count_lines(err, line.c_str()) == 1;
+                }
+                return ok;
+            });
+        },
+        ::testing::ExitedWithCode(0), "HOARD_RSS_TARGET=\"64M\"");
+}
+
+TEST(FacadeEnvDeathTest, ValidKnobsApplySilently)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            setenv("HOARD_RSS_TARGET", "67108864", 1);
+            setenv("HOARD_SUPERBLOCK_BYTES", "65536", 1);
+            setenv("HOARD_BG", "off", 1);
+            setenv("HOARD_HARDENED_FREE", "false", 1);
+            build_singleton_and_exit([](const std::string& err) {
+                const Config& c = global_allocator().config();
+                return err.empty() && c.rss_target_bytes == 67108864 &&
+                       c.superblock_bytes == 65536 &&
+                       !c.background_engine && !c.hardened_free;
+            });
+        },
+        ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

@@ -2,11 +2,11 @@
  * @file
  * The background engine in both execution worlds.
  *
- * Native: a live worker thread refills bins, settles remote queues,
- * and pre-commits spans *while* producer/consumer pairs hammer the
- * allocator — then the quiesced snapshot must reconcile byte-exactly
- * and every remote push must have been drained.  The engine must
- * never perturb the accounting, only move where the work happens.
+ * Native: a live worker thread refills bins *while* producer/consumer
+ * pairs hammer the allocator — then the quiesced snapshot must
+ * reconcile byte-exactly and every remote push must have been drained.
+ * The engine must never perturb the accounting, only move where the
+ * work happens.
  *
  * Sim: the worker is a deterministic fiber (bg_worker_sim) scheduled
  * by the machine like any workload fiber; running the identical
@@ -86,7 +86,6 @@ TEST(BackgroundWorld, NativeWorkerPreservesExactAccounting)
     config.heap_count = 4;
     config.background_engine = true;
     config.bg_interval_ticks = 100000;  // pass every 0.1 ms
-    config.bg_drain_threshold = 4;      // settle eagerly
     NativeHoard allocator(config);
     allocator.start_background();
     ASSERT_TRUE(allocator.background_running());
@@ -108,7 +107,7 @@ TEST(BackgroundWorld, NativeWorkerPreservesExactAccounting)
     EXPECT_FALSE(allocator.background_running());
     EXPECT_GT(allocator.background_passes(), 0u);
 
-    // The quiesced snapshot drains what the worker had not reached
+    // The quiesced snapshot drains what the owners had not reached
     // yet; after it, every remote push is accounted as drained and
     // the gauges reconcile to the byte.
     obs::AllocatorSnapshot snap = allocator.take_snapshot();
@@ -130,8 +129,6 @@ struct SimDigest
     std::uint64_t remote_drains = 0;
     std::uint64_t bg_wakeups = 0;
     std::uint64_t bg_refills = 0;
-    std::uint64_t bg_drains = 0;
-    std::uint64_t bg_precommits = 0;
     std::uint64_t in_use = 0;
     std::uint64_t held = 0;
     std::uint64_t committed = 0;
@@ -146,8 +143,6 @@ struct SimDigest
                remote_drains == other.remote_drains &&
                bg_wakeups == other.bg_wakeups &&
                bg_refills == other.bg_refills &&
-               bg_drains == other.bg_drains &&
-               bg_precommits == other.bg_precommits &&
                in_use == other.in_use && held == other.held &&
                committed == other.committed &&
                reconciles == other.reconciles;
@@ -160,10 +155,8 @@ run_sim_once()
     Config config;
     config.heap_count = 2;
     config.background_engine = true;
-    config.bg_drain_threshold = 4;
-    // A private provider per run: the process-global one stays warm
-    // (prewarm counts only cold->RW transitions), so byte-identical
-    // replay needs both runs to start from the same cold arena.
+    // A private provider per run, so both runs start from the same
+    // cold arena rather than from spans an earlier run recycled.
     os::ReservedArenaProvider provider;
     SimHoard allocator(config, provider);
 
@@ -198,8 +191,6 @@ run_sim_once()
     digest.remote_drains = snap.stats.remote_drains;
     digest.bg_wakeups = snap.stats.bg_wakeups;
     digest.bg_refills = snap.stats.bg_refills;
-    digest.bg_drains = snap.stats.bg_drains;
-    digest.bg_precommits = snap.stats.bg_precommits;
     digest.in_use = snap.stats.in_use_bytes;
     digest.held = snap.stats.held_bytes;
     digest.committed = snap.stats.committed_bytes;
@@ -221,8 +212,7 @@ TEST(BackgroundWorld, SimReplayByteIdenticalWithWorkerFiber)
         << "sim replay diverged with the worker fiber scheduled:"
         << " makespan " << first.makespan << " vs " << second.makespan
         << ", bg_refills " << first.bg_refills << " vs "
-        << second.bg_refills << ", bg_drains " << first.bg_drains
-        << " vs " << second.bg_drains;
+        << second.bg_refills;
 }
 
 }  // namespace

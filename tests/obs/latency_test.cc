@@ -8,6 +8,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
+
 namespace hoard {
 namespace obs {
 namespace {
@@ -64,6 +66,102 @@ TEST(LatencyBuckets, RoundTripsEveryBucket)
                 << "buckets must tile without gaps at " << b;
         }
     }
+}
+
+// Whole-histogram properties: empty and exact summaries, tail
+// separation, monotone percentiles, saturation, and merge.
+
+TEST(LatencyHistogram, EmptyIsZero)
+{
+    Hist hist;
+    EXPECT_EQ(hist.count(), 0u);
+    EXPECT_DOUBLE_EQ(hist.mean(), 0.0);
+    EXPECT_DOUBLE_EQ(hist.percentile(50), 0.0);
+    EXPECT_EQ(hist.max(), 0u);
+}
+
+TEST(LatencyHistogram, MeanAndMaxAreExact)
+{
+    Hist hist;
+    hist.record(10);
+    hist.record(20);
+    hist.record(90);
+    EXPECT_EQ(hist.count(), 3u);
+    EXPECT_DOUBLE_EQ(hist.mean(), 40.0);
+    EXPECT_EQ(hist.max(), 90u);
+}
+
+TEST(LatencyHistogram, PercentileWithinBucketFactor)
+{
+    Hist hist;
+    for (int i = 0; i < 1000; ++i)
+        hist.record(100);
+    const double p50 = hist.percentile(50);
+    EXPECT_GE(p50, 100.0 / 1.125);
+    EXPECT_LE(p50, 100.0);
+}
+
+TEST(LatencyHistogram, TailSeparatesFromBody)
+{
+    Hist hist;
+    for (int i = 0; i < 990; ++i)
+        hist.record(100);
+    for (int i = 0; i < 10; ++i)
+        hist.record(100000);
+    EXPECT_LT(hist.percentile(50), 200.0);
+    EXPECT_GT(hist.percentile(99.5), 50000.0);
+    EXPECT_GT(hist.percentile(99.5), 100 * hist.percentile(50));
+}
+
+TEST(LatencyHistogram, PercentilesMonotonic)
+{
+    Hist hist;
+    detail::Rng rng(3);
+    for (int i = 0; i < 20000; ++i)
+        hist.record(rng.range(1, 1 << 20));
+    double prev = 0.0;
+    for (double p : {1.0, 10.0, 50.0, 90.0, 99.0, 100.0}) {
+        const double v = hist.percentile(p);
+        EXPECT_GE(v, prev) << "p" << p;
+        prev = v;
+    }
+}
+
+TEST(LatencyHistogram, HugeValuesClampToLastBucket)
+{
+    Hist hist;
+    hist.record(~std::uint64_t{0});
+    EXPECT_EQ(hist.count(), 1u);
+    EXPECT_EQ(hist.bucket(Hist::kBuckets - 1), 1u);
+    EXPECT_GT(hist.percentile(50), 1e12);
+}
+
+TEST(LatencyHistogram, LastBucketSaturatesButKeepsExactMax)
+{
+    // Everything at or beyond 2^kMaxOctave shares the last bucket, but
+    // max() stays exact.
+    Hist hist;
+    const std::uint64_t lo = std::uint64_t{1} << Hist::kMaxOctave;
+    hist.record(lo);
+    hist.record(lo * 4);
+    hist.record(~std::uint64_t{0});
+    EXPECT_EQ(hist.count(), 3u);
+    EXPECT_EQ(hist.bucket(Hist::kBuckets - 1), 3u);
+    EXPECT_EQ(hist.max(), ~std::uint64_t{0});
+}
+
+TEST(LatencyHistogram, MergeCombines)
+{
+    Hist a, b;
+    for (int i = 0; i < 100; ++i)
+        a.record(10);
+    for (int i = 0; i < 100; ++i)
+        b.record(100000);
+    a.merge(b);
+    EXPECT_EQ(a.count(), 200u);
+    EXPECT_EQ(a.max(), 100000u);
+    EXPECT_LT(a.percentile(25), 100.0);
+    EXPECT_GT(a.percentile(75), 10000.0);
 }
 
 TEST(LatencyHistogramTest, RecordTracksCountSumMax)
