@@ -53,9 +53,11 @@ main(int argc, char** argv)
     });
 
     const detail::AllocatorStats& stats = allocator.stats();
+    // Every allocation of the run is one octree node.
     std::printf("\n  tree nodes allocated  %llu (%s)\n",
                 static_cast<unsigned long long>(stats.allocs.get()),
-                metrics::format_bytes(stats.requested_bytes.peak())
+                metrics::format_bytes(stats.allocs.get() *
+                                      sizeof(workloads::bh::Node))
                     .c_str());
     std::printf("  peak in use           %s\n",
                 metrics::format_bytes(stats.in_use_bytes.peak()).c_str());

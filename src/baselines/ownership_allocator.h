@@ -127,7 +127,6 @@ class OwnershipAllocator final : public Allocator
         arena.mutex.unlock();
 
         stats_.allocs.add();
-        stats_.requested_bytes.add(size);
         stats_.in_use_bytes.add(block_bytes);
         return block;
     }
@@ -228,7 +227,6 @@ class OwnershipAllocator final : public Allocator
         Superblock::create_huge(memory, total, size);
         stats_.allocs.add();
         stats_.huge_allocs.add();
-        stats_.requested_bytes.add(size);
         stats_.in_use_bytes.add(size);
         stats_.held_bytes.add(total);
         stats_.committed_bytes.add(total);

@@ -98,7 +98,6 @@ class PurePrivateAllocator final : public Allocator
         }
 
         stats_.allocs.add();
-        stats_.requested_bytes.add(size);
         stats_.in_use_bytes.add(block_bytes);
         return block;
     }
@@ -202,7 +201,6 @@ class PurePrivateAllocator final : public Allocator
         Superblock::create_huge(memory, total, size);
         stats_.allocs.add();
         stats_.huge_allocs.add();
-        stats_.requested_bytes.add(size);
         stats_.in_use_bytes.add(size);
         stats_.held_bytes.add(total);
         stats_.committed_bytes.add(total);

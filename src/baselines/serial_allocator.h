@@ -92,7 +92,6 @@ class SerialAllocator final : public Allocator
         Policy::work(CostKind::list_op);
 
         stats_.allocs.add();
-        stats_.requested_bytes.add(size);
         stats_.in_use_bytes.add(block_bytes);
         return block;
     }
@@ -177,7 +176,6 @@ class SerialAllocator final : public Allocator
         Superblock::create_huge(memory, total, size);
         stats_.allocs.add();
         stats_.huge_allocs.add();
-        stats_.requested_bytes.add(size);
         stats_.in_use_bytes.add(size);
         stats_.held_bytes.add(total);
         stats_.committed_bytes.add(total);

@@ -5,19 +5,60 @@
  * Every allocator in this repository exports the same AllocatorStats
  * block; the fragmentation and blowup tables (TBL-frag, TBL-blowup in
  * DESIGN.md) are computed straight from these gauges.
+ *
+ * The statistics a malloc/free pair bumps (allocs, frees, in_use_bytes,
+ * remote_frees) are *sharded*: each OS thread adds into its own
+ * cache-line-padded shard and readers fold the shards, so the fast path
+ * writes no line another live thread writes, as long as no two live
+ * threads share a shard (stat_shard()).  This follows scalloc's rule
+ * that every global structure on the allocation path must scale
+ * (PAPERS.md).  The slow-path gauges and counters stay single atomics.
  */
 
 #ifndef HOARD_COMMON_STATS_H_
 #define HOARD_COMMON_STATS_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 
 #include "common/failure.h"
+#include "common/memutil.h"
 
 namespace hoard {
 namespace detail {
+
+/** Shards per sharded statistic (power of two). */
+inline constexpr unsigned kStatShards = 32;
+
+/**
+ * The calling OS thread's statistic shard.  Threads take shards
+ * round-robin on first use and never give them back, so the first
+ * kStatShards threads of the process each own one, and any later
+ * thread shares the shard of an earlier one whose index is equal mod
+ * kStatShards, live or exited (sums stay exact, see ShardedGauge for
+ * the peak).  A thread writes a line no other live thread writes only
+ * while no two live threads hold such indices.  The index lives in
+ * initial-exec TLS: one thread-pointer-relative load even inside
+ * libhoard.so, and a first touch that can never call malloc.  It is
+ * keyed by OS thread, not Policy::thread_index(): simulator fibers
+ * share their host thread and so one shard, which keeps every
+ * simulated figure exact.
+ */
+inline unsigned
+stat_shard()
+{
+    static thread_local unsigned t_shard
+        __attribute__((tls_model("initial-exec"))) = 0;
+    if (t_shard != 0) [[likely]]
+        return t_shard - 1;
+    static std::atomic<unsigned> next{0};
+    const unsigned shard =
+        next.fetch_add(1, std::memory_order_relaxed) & (kStatShards - 1);
+    t_shard = shard + 1;
+    return shard;
+}
 
 /**
  * Monotonic event counter.  Relaxed ordering: counters are diagnostics,
@@ -100,13 +141,211 @@ class Gauge
     std::atomic<std::uint64_t> peak_{0};
 };
 
+/**
+ * Counter sharded per thread (stat_shard()): add() is a relaxed RMW on
+ * the caller's own line, get() folds every shard.  Exact whenever no
+ * add() is in flight.
+ */
+class ShardedCounter
+{
+  public:
+    void
+    add(std::uint64_t n = 1)
+    {
+        slots_[stat_shard()].v.fetch_add(n, std::memory_order_relaxed);
+    }
+
+    std::uint64_t
+    get() const
+    {
+        std::uint64_t sum = 0;
+        for (const Slot& s : slots_)
+            sum += s.v.load(std::memory_order_relaxed);
+        return sum;
+    }
+
+    void
+    reset()
+    {
+        for (Slot& s : slots_)
+            s.v.store(0, std::memory_order_relaxed);
+    }
+
+    /** The calling thread's shard (tests check the line layout). */
+    const void* my_shard() const { return &slots_[stat_shard()]; }
+
+  private:
+    struct alignas(kCacheLineBytes) Slot
+    {
+        std::atomic<std::uint64_t> v{0};
+    };
+    Slot slots_[kStatShards];
+};
+
+/**
+ * Level gauge with a high-water mark, sharded per thread.  Each shard
+ * keeps a pending delta p and its high-water h (the largest p since the
+ * shard's last flush).  A shard flushes p into the shared base once p
+ * reaches +kFlushBytes or falls kFlushBytes below h; the flush records
+ * base + h as a peak candidate and restarts p = h = 0.  So
+ *
+ *     current() = base + sum(p)
+ *     peak()    = max(recorded, base + sum(h))
+ *
+ * and between operations every shard has -T < p <= h < T (T =
+ * kFlushBytes) with h - p < T.
+ *
+ * Contract:
+ *  - current() is exact whenever no operation is in flight.  Under
+ *    concurrent updates it is off by at most the operations in flight
+ *    and is clamped at 0.
+ *  - peak() is exact when one thread makes every update (one shard
+ *    moves: each flush records its epoch's maximum base + h, and the
+ *    open epoch's is base + h).  That includes the simulator, whose
+ *    fibers share one host thread.
+ *  - With n active shards (shards written since they were last zeroed)
+ *    it lies within n * T of the true peak P of the folded level, up to
+ *    operations in flight: every value base takes is a flush's
+ *    base + p <= base + h <= recorded, so peak() >= base(t) =
+ *    L(t) - sum p(t) > P - n*T at the peak time t; and every candidate
+ *    and the read term exceed a level the gauge really held by less
+ *    than one T per shard.  Threads sharing a shard (more than
+ *    kStatShards threads) merge into one update stream: current()
+ *    stays exact and the bound counts the shard once.
+ */
+class ShardedGauge
+{
+  public:
+    /** Flush threshold T of the per-shard pending delta. */
+    static constexpr std::int64_t kFlushBytes = 16 * 1024;
+
+    void add(std::uint64_t n) { move(static_cast<std::int64_t>(n)); }
+    void sub(std::uint64_t n) { move(-static_cast<std::int64_t>(n)); }
+
+    std::uint64_t
+    current() const
+    {
+        std::int64_t level = base_.load(std::memory_order_relaxed);
+        for (const Shard& s : shards_)
+            level += s.pending.load(std::memory_order_relaxed);
+        return level > 0 ? static_cast<std::uint64_t>(level) : 0;
+    }
+
+    std::uint64_t
+    peak() const
+    {
+        const std::int64_t open = open_peak();
+        const std::uint64_t recorded =
+            recorded_.load(std::memory_order_relaxed);
+        return open > 0 && static_cast<std::uint64_t>(open) > recorded
+                   ? static_cast<std::uint64_t>(open)
+                   : recorded;
+    }
+
+    /**
+     * Overwrites the level and clears every shard (peak still ratchets
+     * up).  Single-threaded repair only, like Gauge::set.
+     */
+    void
+    set(std::uint64_t n)
+    {
+        record(open_peak());
+        clear_shards();
+        base_.store(static_cast<std::int64_t>(n),
+                    std::memory_order_relaxed);
+        record(static_cast<std::int64_t>(n));
+    }
+
+    void
+    reset()
+    {
+        clear_shards();
+        base_.store(0, std::memory_order_relaxed);
+        recorded_.store(0, std::memory_order_relaxed);
+    }
+
+    /** The calling thread's shard (tests check the line layout). */
+    const void* my_shard() const { return &shards_[stat_shard()]; }
+
+  private:
+    struct alignas(kCacheLineBytes) Shard
+    {
+        std::atomic<std::int64_t> pending{0};
+        std::atomic<std::int64_t> high{0};
+    };
+
+    void
+    move(std::int64_t delta)
+    {
+        Shard& s = shards_[stat_shard()];
+        const std::int64_t p =
+            s.pending.fetch_add(delta, std::memory_order_relaxed) + delta;
+        std::int64_t high = s.high.load(std::memory_order_relaxed);
+        while (p > high &&
+               !s.high.compare_exchange_weak(high, p,
+                                             std::memory_order_relaxed)) {
+        }
+        if (p >= kFlushBytes || p <= high - kFlushBytes) [[unlikely]]
+            flush(s);
+    }
+
+    void
+    flush(Shard& s)
+    {
+        const std::int64_t take =
+            s.pending.exchange(0, std::memory_order_relaxed);
+        const std::int64_t high =
+            s.high.exchange(0, std::memory_order_relaxed);
+        const std::int64_t before =
+            base_.fetch_add(take, std::memory_order_relaxed);
+        record(before + std::max(high, take));
+    }
+
+    /** base + sum(h): the open epochs' share of the peak. */
+    std::int64_t
+    open_peak() const
+    {
+        std::int64_t open = base_.load(std::memory_order_relaxed);
+        for (const Shard& s : shards_)
+            open += s.high.load(std::memory_order_relaxed);
+        return open;
+    }
+
+    void
+    record(std::int64_t level)
+    {
+        if (level <= 0)
+            return;
+        const auto v = static_cast<std::uint64_t>(level);
+        std::uint64_t seen = recorded_.load(std::memory_order_relaxed);
+        while (v > seen &&
+               !recorded_.compare_exchange_weak(
+                   seen, v, std::memory_order_relaxed)) {
+        }
+    }
+
+    void
+    clear_shards()
+    {
+        for (Shard& s : shards_) {
+            s.pending.store(0, std::memory_order_relaxed);
+            s.high.store(0, std::memory_order_relaxed);
+        }
+    }
+
+    Shard shards_[kStatShards];
+    /// Written only by flushes, set() and reset(): off the fast path.
+    alignas(kCacheLineBytes) std::atomic<std::int64_t> base_{0};
+    std::atomic<std::uint64_t> recorded_{0};
+};
+
 /** Statistics block shared by every allocator implementation. */
 struct AllocatorStats
 {
-    Counter allocs;              ///< calls to allocate()
-    Counter frees;               ///< calls to deallocate()
-    Gauge requested_bytes;       ///< exact bytes the client asked for
-    Gauge in_use_bytes;          ///< block-rounded bytes currently live (U)
+    ShardedCounter allocs;       ///< calls to allocate()
+    ShardedCounter frees;        ///< calls to deallocate()
+    ShardedGauge in_use_bytes;   ///< block-rounded bytes currently live (U)
+    ShardedCounter remote_frees; ///< frees pushed to a busy owner's queue
     Gauge held_bytes;            ///< bytes held in superblocks (A)
     Gauge committed_bytes;       ///< OS-committed bytes (RSS ground truth);
                                  ///< held_bytes == committed + purged
@@ -117,9 +356,10 @@ struct AllocatorStats
     Counter superblock_transfers;///< per-proc heap -> global heap moves
     Counter global_fetches;      ///< superblocks pulled from the global heap
     Counter huge_allocs;         ///< allocations > S/2 served directly
+    Counter huge_cache_releases; ///< reuse-cache empties the huge path
+                                 ///< unmapped before mapping its span
     Counter oom_reclaims;        ///< map failures answered by reclaiming
     Counter oom_failures;        ///< allocations that failed even after reclaim
-    Counter remote_frees;        ///< frees pushed to a busy owner's queue
     Counter remote_drains;       ///< blocks drained from remote queues
     Counter batch_refills;       ///< magazine refills (one lock each)
     Counter batch_flushes;       ///< magazine spills/flushes (batched)

@@ -80,7 +80,6 @@ class DebugAllocator final : public Allocator
             live_[p] = size;
         }
         stats_.allocs.add();
-        stats_.requested_bytes.add(size);
         stats_.in_use_bytes.add(size);
         return p;
     }

@@ -73,8 +73,14 @@ struct HeapBase
      * ever happens, so the classic Treiber ABA hazard cannot arise; the
      * release/acquire pair on the head is what publishes each block's
      * next-pointer write to the draining owner.
+     *
+     * Alone on its cache line: the owner writes the lock word, in_use
+     * and held on every locked operation while remote freers CAS this
+     * head, and sharing a line made every push steal the owner's hot
+     * line.  The pad keeps a derived heap's fields off it too.
      */
-    std::atomic<void*> remote_head{nullptr};
+    alignas(detail::kCacheLineBytes) std::atomic<void*> remote_head{nullptr};
+    char remote_pad_[detail::kCacheLineBytes - sizeof(std::atomic<void*>)];
 
     /** Cheap empty test so the drain's exchange is skipped when idle. */
     bool

@@ -33,13 +33,32 @@
  * Fast path (extension over the paper, see docs/ARCHITECTURE.md): with
  * Config::thread_cache_blocks > 0 each logical thread keeps per-class
  * *magazines* of free blocks (magazine.h).  malloc/free on a warm
- * magazine is lock-free and touches no shared statistics; magazines
- * refill and spill in batches of Config::thread_cache_batch blocks
- * under a single heap-lock acquisition, and the cached-bytes gauge is
- * synced once per batch.  Each heap additionally owns a lock-free MPSC
- * remote-free queue: a free whose owning heap's lock is busy is pushed
- * there instead of blocking, and the owner settles the whole chain
- * with one exchange the next time it holds its lock.
+ * magazine is lock-free; magazines refill and spill in batches of
+ * Config::thread_cache_batch blocks under a single heap-lock
+ * acquisition, and the cached-bytes gauge is synced once per batch.
+ * Each heap additionally owns a lock-free MPSC remote-free queue: a
+ * free whose owning heap's lock is busy is pushed there instead of
+ * blocking, and the owner settles the whole chain with one exchange
+ * the next time it holds its lock.
+ *
+ * Statistics: the counters every malloc/free bumps (allocs, frees,
+ * in_use_bytes, remote_frees) are per-thread shards (common/stats.h).
+ * While no two live threads hold shard indices that are equal mod
+ * kStatShards (32), a magazine hit writes only lines its own thread
+ * writes, and a locked small-object operation writes no shared line
+ * beyond its heap's.  Indices are handed out round-robin and never
+ * recycled, so a process that keeps creating threads wraps past 32
+ * and can put a new thread on a live thread's shard; the two then
+ * share that line again (the sums stay exact).  Only the slow paths
+ * (fetch, transfer, map, purge) move shared gauges.
+ *
+ * Huge objects map their own span, but first give back the reuse
+ * cache's surplus empty superblocks, up to the span's size, so a
+ * program that drops a small-object working set and then maps large
+ * buffers does not hold both.  Surplus is what lies above a reserve
+ * that grows each time a small class has to map afresh after such a
+ * give-back, so small classes that cycle empties through the cache
+ * keep them.
  */
 
 #ifndef HOARD_CORE_HOARD_ALLOCATOR_H_
@@ -226,7 +245,6 @@ class HoardAllocator final : public Allocator
         if (block == nullptr)
             return nullptr;
         stats_.allocs.add();
-        stats_.requested_bytes.add(size);
         stats_.in_use_bytes.add(classes_.block_size(cls));
         profile_alloc(block, size, classes_.block_size(cls),
                       static_cast<std::uint32_t>(cls));
@@ -339,7 +357,6 @@ class HoardAllocator final : public Allocator
         if (block == nullptr)
             return nullptr;
         stats_.allocs.add();
-        stats_.requested_bytes.add(size);
         stats_.in_use_bytes.add(classes_.block_size(cls));
         auto addr = reinterpret_cast<std::uintptr_t>(block);
         // Profile with the *returned* (interior) pointer: that is the
@@ -736,6 +753,7 @@ class HoardAllocator final : public Allocator
             stats_.superblock_transfers.get();
         snap.stats.global_fetches = stats_.global_fetches.get();
         snap.stats.huge_allocs = stats_.huge_allocs.get();
+        snap.stats.huge_cache_releases = stats_.huge_cache_releases.get();
         snap.stats.oom_reclaims = stats_.oom_reclaims.get();
         snap.stats.oom_failures = stats_.oom_failures.get();
         snap.stats.remote_frees = stats_.remote_frees.get();
@@ -2347,8 +2365,8 @@ class HoardAllocator final : public Allocator
      * plus bin u_i plus huge user bytes; held adds the reuse cache's
      * spans; committed is held minus whatever the purge pass has
      * decommitted (summed span-by-span over the only two places purged
-     * superblocks live).  Event counters and requested_bytes are left
-     * alone — they are diagnostics, not reconciled.
+     * superblocks live).  Event counters are left alone — they are
+     * diagnostics, not reconciled.
      */
     void
     repair_after_fork()
@@ -2632,10 +2650,18 @@ class HoardAllocator final : public Allocator
         return sb;
     }
 
-    /** Maps and formats a brand-new superblock of @p cls. */
+    /**
+     * Maps and formats a brand-new superblock of @p cls.  While the
+     * huge path has superblocks on loan, the map charges one of them
+     * to the cache reserve (give_back_surplus_empties).
+     */
     Superblock*
     fresh_superblock(int cls)
     {
+        if (cache_loans_.load(std::memory_order_relaxed) > 0) {
+            cache_loans_.fetch_sub(1, std::memory_order_relaxed);
+            cache_reserve_.fetch_add(1, std::memory_order_relaxed);
+        }
         Policy::work(CostKind::os_map);
         Policy::work(CostKind::superblock_init);
         void* memory = provider_.map(config_.superblock_bytes,
@@ -2952,6 +2978,39 @@ class HoardAllocator final : public Allocator
         return p;
     }
 
+    /**
+     * Reuse before map for the huge path, surplus empties only: unmaps
+     * completely-empty superblocks from the reuse cache until @p bytes
+     * have gone back or the cache is down to cache_reserve_, so a new
+     * huge span replaces idle capital instead of adding to it.  Each
+     * superblock given back is on loan (cache_loans_) until a small
+     * class next maps a fresh superblock: that map shows the give-back
+     * took working capital, so fresh_superblock() moves the loan into
+     * the reserve and the cache keeps one more empty from then on.  A
+     * dropped working set that is never rebuilt therefore goes back to
+     * the OS, while small classes that cycle empties through the cache
+     * pay for at most one working set's worth of fresh maps before the
+     * reserve covers them.  An empty cache costs one relaxed load.
+     */
+    void
+    give_back_surplus_empties(std::size_t bytes)
+    {
+        std::size_t cached = reuse_cache_.size();
+        if (cached == 0)
+            return;
+        const std::size_t reserve =
+            cache_reserve_.load(std::memory_order_relaxed);
+        for (std::size_t given = 0; given < bytes && cached > reserve;
+             --cached) {
+            Superblock* sb = reuse_cache_.pop(0);
+            if (sb == nullptr)
+                break;
+            given += release_to_provider(sb);
+            stats_.huge_cache_releases.add();
+            cache_loans_.fetch_add(1, std::memory_order_relaxed);
+        }
+    }
+
     /** Huge path: a dedicated chunk with a superblock header. */
     void*
     try_allocate_huge(std::size_t size, std::size_t align)
@@ -2963,6 +3022,7 @@ class HoardAllocator final : public Allocator
         if (size > std::numeric_limits<std::size_t>::max() - offset)
             return nullptr;  // span would overflow; report OOM
         std::size_t total = offset + size;
+        give_back_surplus_empties(total);
         void* memory = provider_.map(total, config_.superblock_bytes);
         if (memory == nullptr)
             return nullptr;
@@ -2976,7 +3036,6 @@ class HoardAllocator final : public Allocator
         }
         stats_.allocs.add();
         stats_.huge_allocs.add();
-        stats_.requested_bytes.add(size);
         stats_.in_use_bytes.add(size);
         stats_.held_bytes.add(total);
         stats_.committed_bytes.add(total);
@@ -3211,6 +3270,12 @@ class HoardAllocator final : public Allocator
     /// stack per size class, so a same-class pop recycles a superblock
     /// already formatted for it; cross-class steals reformat.
     SuperblockCache<Policy> reuse_cache_;
+    /// Empties the huge path leaves in the reuse cache, and the
+    /// superblocks it gave back that no fresh small-class map has
+    /// charged to the reserve yet (give_back_surplus_empties).  Signed
+    /// so racing charges may dip below zero instead of wrapping.
+    std::atomic<std::size_t> cache_reserve_{0};
+    std::atomic<std::int64_t> cache_loans_{0};
     /// Empty superblocks retained inside global bins (class-local, so
     /// not in the cache).  Updated under the owning bin's lock but
     /// atomic because distinct bin locks do not order each other;

@@ -148,6 +148,8 @@ struct StatsSummary
     std::uint64_t superblock_transfers = 0;
     std::uint64_t global_fetches = 0;
     std::uint64_t huge_allocs = 0;
+    std::uint64_t huge_cache_releases = 0;  ///< cache empties the huge
+                                            ///< path unmapped first
     std::uint64_t oom_reclaims = 0;
     std::uint64_t oom_failures = 0;
     std::uint64_t remote_frees = 0;

@@ -430,6 +430,11 @@ write_prometheus(std::ostream& os, const AllocatorSnapshot& snap)
     prom_header(os, "hoard_cache_pops_total", "counter",
                 "empty superblocks recycled from the reuse cache");
     os << "hoard_cache_pops_total " << s.cache_pops << '\n';
+    prom_header(os, "hoard_huge_cache_releases_total", "counter",
+                "reuse-cache empties unmapped by the huge path before "
+                "it mapped");
+    os << "hoard_huge_cache_releases_total " << s.huge_cache_releases
+       << '\n';
     prom_header(os, "hoard_bad_free_wild_total", "counter",
                 "frees of pointers outside any superblock");
     os << "hoard_bad_free_wild_total " << s.bad_free_wild << '\n';
@@ -473,7 +478,7 @@ write_human(std::ostream& os, const AllocatorSnapshot& snap)
        << snap.stats.global_bin_hits << " misses "
        << snap.stats.global_bin_misses << "), cache pushes "
        << snap.stats.cache_pushes << " pops " << snap.stats.cache_pops
-       << "\n";
+       << ", huge give-backs " << snap.stats.huge_cache_releases << "\n";
     if (snap.stats.bad_free_wild + snap.stats.bad_free_foreign +
             snap.stats.bad_free_interior + snap.stats.bad_free_double !=
         0) {

@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <barrier>
+#include <cstdint>
 #include <thread>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace hoard {
 namespace detail {
@@ -113,6 +118,174 @@ TEST(Gauge, PeakUnderConcurrency)
     EXPECT_EQ(g.current(), 0u);
     EXPECT_GE(g.peak(), 3u);
     EXPECT_LE(g.peak(), 12u);
+}
+
+TEST(ShardedCounter, ThreadsFoldExactly)
+{
+    constexpr int kThreads = 8;
+    constexpr int kAdds = 50000;
+    ShardedCounter c;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&c, t] {
+            for (int i = 0; i < kAdds; ++i)
+                c.add(static_cast<std::uint64_t>(1 + t % 2));  // odd: 2
+        });
+    }
+    for (auto& t : threads)
+        t.join();
+    EXPECT_EQ(c.get(), std::uint64_t{kAdds} * (kThreads + kThreads / 2));
+    c.reset();
+    EXPECT_EQ(c.get(), 0u);
+}
+
+TEST(ShardedGauge, SingleThreadPeakIsExact)
+{
+    // A random walk with steps up to 4 KiB crosses the flush threshold
+    // many times in both directions; one thread's peak stays exact.
+    ShardedGauge g;
+    Rng rng(7);
+    std::int64_t level = 0;
+    std::int64_t peak = 0;
+    for (int i = 0; i < 200000; ++i) {
+        const auto step = static_cast<std::int64_t>(rng.below(4096) + 1);
+        if (rng.below(2) == 0 || level < step) {
+            g.add(static_cast<std::uint64_t>(step));
+            level += step;
+        } else {
+            g.sub(static_cast<std::uint64_t>(step));
+            level -= step;
+        }
+        peak = std::max(peak, level);
+        if (i % 997 == 0) {
+            ASSERT_EQ(g.current(), static_cast<std::uint64_t>(level));
+            ASSERT_EQ(g.peak(), static_cast<std::uint64_t>(peak));
+        }
+    }
+    EXPECT_EQ(g.current(), static_cast<std::uint64_t>(level));
+    EXPECT_EQ(g.peak(), static_cast<std::uint64_t>(peak));
+}
+
+TEST(ShardedGauge, ThreadsFoldExactlyAfterJoin)
+{
+    // Blocks allocated on one thread and freed on another: every shard
+    // ends with a nonzero pending delta, and the fold is still exact.
+    constexpr int kThreads = 6;
+    constexpr int kOps = 40000;
+    ShardedGauge g;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&g, t] {
+            Rng rng(static_cast<std::uint64_t>(100 + t));
+            for (int i = 0; i < kOps; ++i) {
+                const std::uint64_t n = rng.below(512) + 16;
+                g.add(n);
+                if (t % 2 == 1)
+                    g.sub(n);  // odd threads free what they allocate
+            }
+        });
+    }
+    for (auto& t : threads)
+        t.join();
+    const std::uint64_t live = g.current();
+    // Even threads' blocks are now freed elsewhere (this thread).
+    std::uint64_t expect = 0;
+    for (int t = 0; t < kThreads; t += 2) {
+        Rng rng(static_cast<std::uint64_t>(100 + t));
+        for (int i = 0; i < kOps; ++i)
+            expect += rng.below(512) + 16;
+    }
+    EXPECT_EQ(live, expect);
+    g.sub(expect);
+    EXPECT_EQ(g.current(), 0u);
+}
+
+TEST(ShardedGauge, ConcurrentPeakWithinDocumentedBound)
+{
+    // Every thread ramps up to kHold bytes in small steps, waits until
+    // all of them hold it, then frees it all: the true peak is exactly
+    // kThreads * kHold, and the documented bound is one flush threshold
+    // per active shard, plus the step each thread may have in flight.
+    constexpr int kThreads = 4;
+    constexpr std::uint64_t kHold = 1 << 20;
+    constexpr std::uint64_t kStep = 48;
+    for (int round = 0; round < 20; ++round) {
+        ShardedGauge g;
+        std::barrier sync(kThreads);
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&] {
+                std::uint64_t held = 0;
+                while (held + kStep <= kHold) {
+                    g.add(kStep);
+                    held += kStep;
+                }
+                g.add(kHold - held);
+                sync.arrive_and_wait();
+                for (held = kHold; held >= kStep; held -= kStep)
+                    g.sub(kStep);
+                g.sub(held);
+            });
+        }
+        for (auto& t : threads)
+            t.join();
+        const auto truth = static_cast<std::int64_t>(kThreads * kHold);
+        const std::int64_t slack =
+            kThreads * (ShardedGauge::kFlushBytes + std::int64_t{kStep});
+        const auto peak = static_cast<std::int64_t>(g.peak());
+        EXPECT_GT(peak, truth - slack);
+        EXPECT_LT(peak, truth + slack);
+        EXPECT_EQ(g.current(), 0u);
+    }
+}
+
+TEST(ShardedGauge, SetAndResetClearEveryShard)
+{
+    ShardedGauge g;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t)
+        threads.emplace_back([&g] { g.add(1000); });  // pending, unflushed
+    for (auto& t : threads)
+        t.join();
+    ASSERT_EQ(g.current(), 4000u);
+    g.set(123);
+    EXPECT_EQ(g.current(), 123u);
+    EXPECT_EQ(g.peak(), 4000u);  // peak ratchets, never drops on set
+    g.add(10);
+    EXPECT_EQ(g.current(), 133u);
+    g.reset();
+    EXPECT_EQ(g.current(), 0u);
+    EXPECT_EQ(g.peak(), 0u);
+    g.add(5);
+    EXPECT_EQ(g.peak(), 5u);
+
+    ShardedCounter c;
+    std::thread([&c] { c.add(7); }).join();
+    c.add(1);
+    c.reset();
+    EXPECT_EQ(c.get(), 0u);
+}
+
+TEST(ShardedStats, ThreadsUpdateDistinctCacheLines)
+{
+    const ShardedCounter c;
+    const ShardedGauge g;
+    auto line = [](const void* p) {
+        return reinterpret_cast<std::uintptr_t>(p) / kCacheLineBytes;
+    };
+    const void* mine[2][2] = {};
+    for (int t = 0; t < 2; ++t) {
+        std::thread([&, t] {
+            mine[t][0] = c.my_shard();
+            mine[t][1] = g.my_shard();
+        }).join();
+    }
+    for (int k = 0; k < 2; ++k) {
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(mine[0][k]) %
+                      kCacheLineBytes,
+                  0u);
+        EXPECT_NE(line(mine[0][k]), line(mine[1][k]));
+    }
 }
 
 TEST(AllocatorStats, FragmentationDefinition)

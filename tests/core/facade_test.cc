@@ -10,6 +10,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "os/reserved_arena.h"
@@ -183,6 +184,35 @@ TEST(Facade, StatsAreLive)
     void* p = hoard_malloc(32);
     EXPECT_EQ(hoard_stats().allocs.get(), before + 1);
     hoard_free(p);
+}
+
+TEST(Facade, ShardedCountsFoldExactlyAfterJoin)
+{
+    // allocs and frees are per-thread shards; once the workers have
+    // joined, the folded counts include every call they made.
+    constexpr int kThreads = 4;
+    constexpr int kCalls = 20000;
+    const std::uint64_t allocs0 = hoard_stats().allocs.get();
+    const std::uint64_t frees0 = hoard_stats().frees.get();
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+        workers.emplace_back([] {
+            for (int i = 0; i < kCalls; ++i) {
+                // Mostly small blocks, with a huge one now and then.
+                void* p = hoard_malloc(i % 1000 == 0
+                                           ? 64 * 1024
+                                           : static_cast<std::size_t>(
+                                                 16 + i % 700));
+                hoard_free(p);
+            }
+        });
+    }
+    for (std::thread& w : workers)
+        w.join();
+    EXPECT_EQ(hoard_stats().allocs.get() - allocs0,
+              std::uint64_t{kThreads} * kCalls);
+    EXPECT_EQ(hoard_stats().frees.get() - frees0,
+              std::uint64_t{kThreads} * kCalls);
 }
 
 TEST(Facade, GlobalAllocatorIsStable)

@@ -11,6 +11,9 @@
  *    formatted) and release_free_memory scavenges them;
  *  - empty superblocks recycle through the cache within and across
  *    size classes without fresh OS mappings;
+ *  - a huge allocation first unmaps cached empties up to its span's
+ *    size (reuse before map), alone and racing small-class fetches,
+ *    and keeps the ones small classes had to map back;
  *  - under multi-threaded churn that populates the bins, quiescent
  *    snapshots reconcile byte-exactly, every remote free is drained,
  *    and the emptiness invariant verdict stays green — in both the
@@ -20,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/hoard_allocator.h"
@@ -203,6 +207,193 @@ TEST(ReuseCache, CrossClassStealRecyclesFormattedSpans)
 
     for (void* p : blocks)
         allocator.deallocate(p);
+    EXPECT_TRUE(allocator.check_invariants());
+}
+
+/** Allocates and frees @p blocks 64-byte blocks on heap 1, leaving
+    their emptied superblocks in the reuse cache.  Returns the cache
+    size. */
+std::uint64_t
+fill_reuse_cache(NativeHoard& allocator, int blocks)
+{
+    NativePolicy::rebind_thread_index(0);
+    std::vector<void*> live;
+    for (int i = 0; i < blocks; ++i)
+        live.push_back(allocator.allocate(64));
+    for (void* p : live)
+        allocator.deallocate(p);
+    return allocator.take_snapshot().heaps[0].empty_cached;
+}
+
+TEST(ReuseCache, HugeAllocationGivesBackEmptiesBeforeMapping)
+{
+    Config config;
+    config.heap_count = 2;
+    config.slack_superblocks = 0;
+    NativeHoard allocator(config);
+    const std::uint64_t cached = fill_reuse_cache(allocator, 2000);
+    ASSERT_GE(cached, 5u);
+
+    // A span of T = 3.5 S (header included) needs ceil(T / S) = 4
+    // superblocks given back.
+    const std::size_t S = allocator.config().superblock_bytes;
+    const std::size_t span = 3 * S + S / 2;
+    const std::size_t user = span - Superblock::header_bytes();
+    const std::uint64_t expect = (span + S - 1) / S;
+    const obs::AllocatorSnapshot before = allocator.take_snapshot();
+    void* huge = allocator.allocate(user);
+    ASSERT_NE(huge, nullptr);
+    const obs::AllocatorSnapshot after = allocator.take_snapshot();
+    EXPECT_EQ(after.heaps[0].empty_cached, cached - expect);
+    EXPECT_EQ(after.stats.huge_cache_releases -
+                  before.stats.huge_cache_releases,
+              expect);
+    const auto given = static_cast<std::int64_t>(expect * S);
+    EXPECT_LE(static_cast<std::int64_t>(after.stats.committed_bytes) -
+                  static_cast<std::int64_t>(before.stats.committed_bytes),
+              static_cast<std::int64_t>(span) - given);
+    EXPECT_TRUE(after.reconciles());
+
+    allocator.deallocate(huge);
+    EXPECT_TRUE(allocator.take_snapshot().reconciles());
+    EXPECT_TRUE(allocator.check_invariants());
+}
+
+TEST(ReuseCache, HugeAllocationLargerThanTheCacheEmptiesIt)
+{
+    Config config;
+    config.heap_count = 2;
+    config.slack_superblocks = 0;
+    NativeHoard allocator(config);
+    const std::uint64_t cached = fill_reuse_cache(allocator, 2000);
+    ASSERT_GT(cached, 0u);
+
+    const std::size_t S = allocator.config().superblock_bytes;
+    void* huge = allocator.allocate((cached + 2) * S);
+    ASSERT_NE(huge, nullptr);
+    const obs::AllocatorSnapshot snap = allocator.take_snapshot();
+    EXPECT_EQ(snap.heaps[0].empty_cached, 0u);
+    EXPECT_EQ(snap.stats.huge_cache_releases, cached);
+    EXPECT_TRUE(snap.reconciles());
+    allocator.deallocate(huge);
+    EXPECT_TRUE(allocator.take_snapshot().reconciles());
+}
+
+TEST(ReuseCache, FreshMapAfterAGiveBackRaisesTheReserve)
+{
+    Config config;
+    config.heap_count = 2;
+    config.slack_superblocks = 0;
+    NativeHoard allocator(config);
+    const std::uint64_t cached = fill_reuse_cache(allocator, 2000);
+    ASSERT_GE(cached, 2u);
+    const std::size_t S = allocator.config().superblock_bytes;
+
+    // The span needs more than the cache holds: every empty goes back.
+    void* first = allocator.allocate(cached * S);
+    ASSERT_NE(first, nullptr);
+    const obs::AllocatorSnapshot a = allocator.take_snapshot();
+    ASSERT_EQ(a.heaps[0].empty_cached, 0u);
+    EXPECT_EQ(a.stats.huge_cache_releases, cached);
+
+    // The next small-class miss finds the cache dry and maps afresh:
+    // the give-back took working capital, so one empty is kept from
+    // now on.
+    void* small = allocator.allocate(64);
+    ASSERT_EQ(allocator.stats().superblock_allocs.get(),
+              a.stats.superblock_allocs + 1);
+    allocator.deallocate(small);
+    const obs::AllocatorSnapshot b = allocator.take_snapshot();
+    ASSERT_EQ(b.heaps[0].empty_cached, 1u);
+
+    void* second = allocator.allocate(S);
+    ASSERT_NE(second, nullptr);
+    const obs::AllocatorSnapshot c = allocator.take_snapshot();
+    EXPECT_EQ(c.stats.huge_cache_releases, cached);
+    EXPECT_EQ(c.heaps[0].empty_cached, 1u);
+    EXPECT_TRUE(c.reconciles());
+
+    allocator.deallocate(first);
+    allocator.deallocate(second);
+    EXPECT_TRUE(allocator.take_snapshot().reconciles());
+    EXPECT_TRUE(allocator.check_invariants());
+}
+
+TEST(ReuseCache, BuffersBetweenSmallObjectChurnStopCostingFreshMaps)
+{
+    // A working set of small objects is built and dropped every round,
+    // so its superblocks cycle through the reuse cache, and a buffer
+    // over S/2 comes and goes in between.  Each give-back the small
+    // classes have to map back raises the reserve, so the extra maps
+    // stop within one working set's worth.
+    Config config;
+    config.heap_count = 2;
+    config.slack_superblocks = 0;
+    NativeHoard allocator(config);
+    NativePolicy::rebind_thread_index(0);
+    const std::size_t S = allocator.config().superblock_bytes;
+    std::uint64_t working_set = 0;
+    std::uint64_t maps_settled = 0;
+    std::uint64_t releases_settled = 0;
+    std::vector<void*> live;
+    for (int round = 0; round < 60; ++round) {
+        for (int i = 0; i < 2000; ++i)
+            live.push_back(allocator.allocate(64));
+        if (round == 0)
+            working_set = allocator.stats().superblock_allocs.get();
+        for (void* p : live)
+            allocator.deallocate(p);
+        live.clear();
+        void* buffer = allocator.allocate(3 * S / 4);
+        ASSERT_NE(buffer, nullptr);
+        allocator.deallocate(buffer);
+        if (round == 39) {
+            maps_settled = allocator.stats().superblock_allocs.get();
+            releases_settled = allocator.stats().huge_cache_releases.get();
+        }
+    }
+    EXPECT_LE(maps_settled, 2 * working_set);
+    EXPECT_EQ(allocator.stats().superblock_allocs.get(), maps_settled);
+    EXPECT_EQ(allocator.stats().huge_cache_releases.get(),
+              releases_settled);
+    EXPECT_TRUE(allocator.take_snapshot().reconciles());
+    EXPECT_TRUE(allocator.check_invariants());
+}
+
+TEST(ReuseCache, HugeGiveBacksRaceSmallClassFetches)
+{
+    // Even threads cycle a small-object working set, so empties stream
+    // through the cache and small-class fetches pop them; odd threads
+    // allocate huge spans, which pop and unmap the surplus empties.
+    constexpr int kThreads = 4;
+    Config config;
+    config.heap_count = kThreads;
+    config.slack_superblocks = 0;
+    NativeHoard allocator(config);
+    const std::size_t S = config.superblock_bytes;
+    workloads::native_run(kThreads, [&](int tid) {
+        NativePolicy::rebind_thread_index(tid);
+        std::vector<void*> mine;
+        for (int round = 0; round < 40; ++round) {
+            if (tid % 2 == 0) {
+                for (int i = 0; i < 400; ++i)
+                    mine.push_back(allocator.allocate(32u << (i % 4)));
+                for (void* p : mine)
+                    allocator.deallocate(p);
+                mine.clear();
+            } else {
+                void* huge = allocator.allocate(
+                    S * static_cast<std::size_t>(1 + round % 3));
+                ASSERT_NE(huge, nullptr);
+                allocator.deallocate(huge);
+            }
+        }
+    });
+    const obs::AllocatorSnapshot snap = allocator.take_snapshot();
+    EXPECT_EQ(snap.stats.in_use_bytes, 0u);
+    EXPECT_EQ(snap.huge_count, 0u);
+    EXPECT_TRUE(snap.reconciles());
+    EXPECT_EQ(snap.stats.allocs, snap.stats.frees);
     EXPECT_TRUE(allocator.check_invariants());
 }
 

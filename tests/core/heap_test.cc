@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "core/config.h"
@@ -15,6 +16,24 @@ namespace hoard {
 namespace {
 
 constexpr std::size_t kS = 8192;
+
+TEST(HeapLayout, RemoteHeadHasItsOwnCacheLine)
+{
+    // Remote freers CAS the head while the owner writes u_i / a_i under
+    // its lock; neither they nor a derived home's fields may share it.
+    auto line = [](const void* p) {
+        return reinterpret_cast<std::uintptr_t>(p) / 64;
+    };
+    HoardHeap<NativePolicy> heap(1, 4);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&heap.remote_head) % 64,
+              0u);
+    EXPECT_NE(line(&heap.remote_head), line(&heap.in_use));
+    EXPECT_NE(line(&heap.remote_head), line(&heap.held));
+    EXPECT_NE(line(&heap.remote_head), line(&heap.bins));
+    GlobalBin<NativePolicy> bin(0);
+    EXPECT_NE(line(&bin.remote_head), line(&bin.held));
+    EXPECT_NE(line(&bin.remote_head), line(&bin.occupancy));
+}
 
 class HeapTest : public ::testing::Test
 {

@@ -62,6 +62,7 @@ sample_snapshot()
     }
     snap.stats.in_use_bytes = 3000;
     snap.stats.held_bytes = 24576;
+    snap.stats.huge_cache_releases = 5;
     return snap;
 }
 
@@ -153,6 +154,8 @@ TEST(Prometheus, EmitsWellFormedExposition)
     // Global totals appear unlabeled.
     EXPECT_NE(out.find("hoard_in_use_bytes 3000"), std::string::npos);
     EXPECT_NE(out.find("hoard_held_bytes 24576"), std::string::npos);
+    EXPECT_NE(out.find("hoard_huge_cache_releases_total 5"),
+              std::string::npos);
 
     // Exposition format: no tabs, every non-empty line is either a
     // comment or "name{labels} value".
@@ -190,6 +193,7 @@ TEST(HumanDump, SummarizesVerdictsAndHeaps)
     EXPECT_NE(out.find("heap 0 (global)"), std::string::npos);
     EXPECT_NE(out.find("class 3 (64 B)"), std::string::npos);
     EXPECT_NE(out.find("lock(acq=10"), std::string::npos);
+    EXPECT_NE(out.find("huge give-backs 5"), std::string::npos);
 }
 
 }  // namespace
