@@ -20,7 +20,7 @@
  *
  *   ./build/bench/bench_compare --timeline RUN.jsonl
  *
- * reads the schema the sampler writes, hoard-timeline-v6 (key list in
+ * reads the schema the sampler writes, hoard-timeline-v7 (key list in
  * obs/trace_export.h).  Exits 0 on a clean read, 2 on parse errors or
  * any other schema.
  */
@@ -73,7 +73,7 @@ usage(std::ostream& os)
           " (default 10),\n"
        << "  1 on regression, 2 on usage/parse errors\n"
        << "  --timeline summarizes a gauge timeline (schema\n"
-       << "  hoard-timeline-v6) instead of diffing reports\n";
+       << "  hoard-timeline-v7) instead of diffing reports\n";
 }
 
 /**
@@ -106,9 +106,9 @@ summarize_timeline(const std::string& path)
             return 2;
         }
         const std::string schema = doc.string_or("schema", "");
-        if (schema != "hoard-timeline-v6") {
+        if (schema != "hoard-timeline-v7") {
             std::cerr << path << ":" << lineno << ": unknown schema '"
-                      << schema << "' (expected hoard-timeline-v6)\n";
+                      << schema << "' (expected hoard-timeline-v7)\n";
             return 2;
         }
         if (samples == 0)
@@ -190,13 +190,6 @@ summarize_timeline(const std::string& path)
     if (!any)
         std::printf("  latency: histograms disarmed (all-zero "
                     "series)\n");
-    if (last.number_or("bg_wakeups", 0.0) > 0.0) {
-        std::printf("  background: wakeups %.0f, refills %.0f, purges "
-                    "%.0f\n",
-                    last.number_or("bg_wakeups", 0.0),
-                    last.number_or("bg_refills", 0.0),
-                    last.number_or("bg_purges", 0.0));
-    }
     return 0;
 }
 

@@ -244,14 +244,6 @@ main(int argc, char** argv)
     armed_lat_config.latency_histograms = true;
     const double lat_tolerance_pct =
         env_double("HOARD_LAT_TOLERANCE_PCT", 5.0);
-    Config bg_idle_config = config;
-    // Armed but idle: a pass interval no run ever reaches, so the
-    // worker thread exists (parked in its timed wait) and the hot
-    // paths take their armed-flag branches, but no pass competes for
-    // locks during the measurement.
-    bg_idle_config.background_engine = true;
-    bg_idle_config.bg_interval_ticks =
-        std::numeric_limits<std::uint64_t>::max() / 2;
 
     // Each rep times every variant twice in ABBA order per gated
     // pair, on a fresh allocator per measurement (placement re-rolled
@@ -263,7 +255,6 @@ main(int argc, char** argv)
     std::vector<double> noprof_on_ns, prof_on_ns;
     std::vector<double> nolat_off_ns, lat_off_ns;
     std::vector<double> nolat_on_ns, lat_on_ns;
-    std::vector<double> nobg_ns, bg_idle_ns;
     // Each huge pair is an mmap/munmap round trip; scale the count so
     // the huge loop costs about as much wall clock as the hot path.
     const std::size_t huge_pairs = pairs / 256 + 1;
@@ -334,20 +325,6 @@ main(int argc, char** argv)
         HoardAllocator<NativePolicy> lat_on(armed_lat_config);
         lat_on_ns.push_back(time_pairs(lat_on, pairs));
     };
-    // Background-engine quartet: disarmed (the default — the engine
-    // must be free when off) against armed-but-idle (worker thread
-    // alive on a wait so long it never passes; the residue is the
-    // hot paths' armed-flag branches and the sleeping thread's
-    // existence).
-    auto run_nobg = [&] {
-        HoardAllocator<NativePolicy> nobg(config);
-        nobg_ns.push_back(time_pairs(nobg, pairs));
-    };
-    auto run_bg_idle = [&] {
-        HoardAllocator<NativePolicy> bg(bg_idle_config);
-        bg.start_background();
-        bg_idle_ns.push_back(time_pairs(bg, pairs));
-    };
     // Fresh-map quartet (page layer): superblock-span round trips
     // against each provider.  Fresh providers per measurement, like
     // the allocator pairs; the arena provider's one-time reservation
@@ -393,10 +370,6 @@ main(int argc, char** argv)
         run_lat_on();
         run_lat_on();
         run_nolat_on();
-        run_nobg();
-        run_bg_idle();
-        run_bg_idle();
-        run_nobg();
         run_mmap_span();
         run_arena_span();
         run_arena_span();
@@ -432,9 +405,6 @@ main(int argc, char** argv)
         median_paired_pct(nolat_off_ns, lat_off_ns);
     const double lat_on = best(lat_on_ns);
     const double lat_on_pct = median_paired_pct(nolat_on_ns, lat_on_ns);
-    const double nobg = best(nobg_ns);
-    const double bg_idle = best(bg_idle_ns);
-    const double bg_idle_pct = median_paired_pct(nobg_ns, bg_idle_ns);
     const double mmap_span = best(mmap_span_ns);
     const double arena_span = best(arena_span_ns);
     const double arena_span_pct =
@@ -485,13 +455,6 @@ main(int argc, char** argv)
     std::printf("  armed at default sample period:     %7.2f ns/pair "
                 "(%+.2f%%)\n",
                 lat_on, lat_on_pct);
-    std::printf("background engine, 64 B pairs, best of %d x %zu:\n",
-                reps, pairs);
-    std::printf("  disarmed (default):                 %7.2f ns/pair\n",
-                nobg);
-    std::printf("  armed, worker idle:                 %7.2f ns/pair "
-                "(%+.2f%%)\n",
-                bg_idle, bg_idle_pct);
     std::printf("page layer, 64 KiB span map/touch/unmap, best of "
                 "%d x %zu:\n",
                 reps, huge_pairs);
@@ -582,16 +545,6 @@ main(int argc, char** argv)
             std::printf("PASS: armed-latency overhead %.2f%% within "
                         "%.2f%%\n",
                         lat_on_pct, lat_tolerance_pct);
-        }
-        if (bg_idle_pct > tolerance_pct) {
-            std::printf("FAIL: idle-background-engine overhead %.2f%% "
-                        "exceeds %.2f%%\n",
-                        bg_idle_pct, tolerance_pct);
-            failed = true;
-        } else {
-            std::printf("PASS: idle-background-engine overhead %.2f%% "
-                        "within %.2f%%\n",
-                        bg_idle_pct, tolerance_pct);
         }
         // The arena carve must beat the mmap path outright — span
         // recycling exists to delete the VMA round trip, and a

@@ -1,34 +1,23 @@
 /**
  * @file
- * micro-prodcons: producer-consumer pipeline with and without the
- * asynchronous background engine.
+ * micro-prodcons: producer-consumer pipeline throughput.
  *
  * Paired fibers hand allocation batches through a mailbox: the
  * producer allocates from its heap, the consumer frees cross-thread,
- * forever.  This is the workload the background engine exists for —
- * every producer burns through its size class fast enough that the
- * global bin runs dry (refill work lands on the malloc critical path
- * as global_fetch misses and fresh maps), and every free is remote.
- *
- * Each P runs twice on the simulated machine:
- *
- *  - `fg` (engine disarmed): the baseline — consumers' frees queue on
- *    the remote MPSC lists until producers settle them inline, and
- *    every bin miss pays the superblock format/map on the hot path.
- *  - `bg` (engine armed): one extra simulated processor runs the
- *    worker fiber (HoardAllocator::bg_worker_sim — the deterministic
- *    analogue of the native helper thread), which refills bins off
- *    the critical path.
+ * forever.  Every producer burns through its size class fast enough
+ * that the global bin runs dry (refill work lands on the malloc
+ * critical path as global_fetch misses and fresh maps), and every
+ * free is remote: consumers' frees queue on the remote MPSC lists
+ * until producers settle them inline.
  *
  * Throughput is measured as allocations per virtual megacycle against
- * the *workload* fibers' finish clocks (the worker fiber's own tail
- * does not count against the run), and the per-path latency
- * histograms (exact mode) attribute where the win comes from: the
- * armed run's refill / global-fetch / fresh-map p99 should drop while
- * the fast paths stay put.  Both runs are deterministic, so the
- * throughput and p99 metrics are gated.
+ * the fibers' finish clocks, and the per-path latency histograms
+ * (exact mode) attribute the slow paths' cost.  Runs are
+ * deterministic, so the throughput and p99 metrics are gated.  The
+ * metric keys keep their `fg` segment so existing baselines still
+ * match.
  *
- *   ./build/bench/micro_prodcons [--quick] [--bg on|off] [--json FILE]
+ *   ./build/bench/micro_prodcons [--quick] [--json FILE]
  */
 
 #include <algorithm>
@@ -63,7 +52,6 @@ struct PipeParams
     int rounds = 0;        ///< batches handed per pair
     int batch_blocks = 0;  ///< blocks per batch
     std::size_t object_bytes = 64;
-    int worker_steps = 0;  ///< bg_step() calls the worker fiber makes
 };
 
 /** Spin-loop beat: virtual work so the scheduler can preempt. */
@@ -80,18 +68,14 @@ struct CaseResult
     obs::AllocatorSnapshot snap;
 };
 
-/**
- * Runs P workload fibers (P/2 pairs) on P simulated processors, plus
- * one helper processor running the worker fiber when @p bg is set.
- */
+/** Runs P workload fibers (P/2 pairs) on P simulated processors. */
 CaseResult
-run_case(int nprocs, bool bg, const PipeParams& params)
+run_case(int nprocs, const PipeParams& params)
 {
     Config config;
     config.heap_count = nprocs;
     config.latency_histograms = true;
     config.latency_sample_period = 1;  // exact: every op in the histogram
-    config.background_engine = bg;
     HoardAllocator<SimPolicy> allocator(config);
 
     const int pairs = nprocs / 2;
@@ -103,7 +87,7 @@ run_case(int nprocs, bool bg, const PipeParams& params)
     std::vector<std::uint64_t> finish(static_cast<std::size_t>(nprocs),
                                       0);
 
-    sim::Machine machine(nprocs + (bg ? 1 : 0));
+    sim::Machine machine(nprocs);
     for (int tid = 0; tid < nprocs; ++tid) {
         machine.spawn(tid, tid, [&, tid] {
             SimPolicy::rebind_thread_index(tid);
@@ -143,17 +127,6 @@ run_case(int nprocs, bool bg, const PipeParams& params)
                 sim::Machine::current()->current_clock();
         });
     }
-    if (bg) {
-        // The helper core: the worker fiber runs the same bg_step()
-        // job code the native thread would, a bounded number of times
-        // so the machine terminates.  Steps are sized past the
-        // workload's duration; the tail past the last workload finish
-        // is excluded from the measurement below.
-        machine.spawn(nprocs, nprocs, [&] {
-            SimPolicy::rebind_thread_index(nprocs);
-            allocator.bg_worker_sim(params.worker_steps);
-        });
-    }
     machine.run();
 
     CaseResult result;
@@ -176,7 +149,7 @@ run_case(int nprocs, bool bg, const PipeParams& params)
     return result;
 }
 
-/** The per-path p99s the engine is supposed to move. */
+/** The slow-path p99s the pipeline exercises. */
 const obs::LatencyPath kHotPaths[] = {
     obs::LatencyPath::malloc_refill,
     obs::LatencyPath::malloc_global_fetch,
@@ -189,34 +162,15 @@ const obs::LatencyPath kHotPaths[] = {
 int
 main(int argc, char** argv)
 {
-    bench::FigCli cli;
-    std::string bg_mode = "both";
-    cli.bench_name = bench::bench_basename(argc > 0 ? argv[0] : nullptr);
-    cli::Parser parser(
-        "producer-consumer pipeline, background engine on vs off");
-    bench::register_cli(parser, cli);
-    parser.add_string("--bg", "MODE",
-                      "run only one engine mode: on | off\n"
-                      "(default: both, for the comparison)",
-                      &bg_mode);
-    parser.parse(argc, argv);
-    bench::finish_cli(cli);
-    if (bg_mode != "both" && bg_mode != "on" && bg_mode != "off") {
-        std::fprintf(stderr,
-                     "micro_prodcons: --bg must be on or off\n");
-        return 2;
-    }
+    bench::FigCli cli = bench::parse_cli(argc, argv);
 
     PipeParams params;
     params.rounds = cli.quick ? 150 : 600;
     params.batch_blocks = 32;
     // A batch spans a whole superblock's worth of blocks, so every
-    // round ends in bin-refill / fresh-map traffic — the slow path
-    // the worker exists to absorb.  Small objects never deplete the
-    // heap and leave the worker nothing to do.
+    // round ends in bin-refill / fresh-map traffic.  Small objects
+    // never deplete the heap and would skip the slow paths.
     params.object_bytes = 2048;
-    // Enough passes to cover the run; the measurement clips the tail.
-    params.worker_steps = cli.quick ? 2000 : 8000;
 
     if (!obs::kCompiledIn) {
         std::cout << "# micro-prodcons: skipped (HOARD_OBS=OFF build"
@@ -226,78 +180,51 @@ main(int argc, char** argv)
 
     Config echo;
     metrics::BenchReport report(cli.bench_name, cli.quick);
-    report.set_title(
-        "micro-prodcons: pipeline throughput, background engine on/off");
+    report.set_title("micro-prodcons: pipeline throughput");
     report.set_config(echo);
 
     std::cout << "# micro-prodcons: producers allocate, consumers free"
-                 " cross-thread; bg adds one helper core\n";
-    metrics::Table table({"P", "engine", "allocs/Mcycle",
-                          "refill p99", "fetch p99", "fresh p99",
-                          "bg refills"});
+                 " cross-thread\n";
+    metrics::Table table({"P", "allocs/Mcycle", "refill p99",
+                          "fetch p99", "fresh p99"});
     bool healthy = true;
     for (int nprocs : {2, 4, 8}) {
-        for (int pass = 0; pass < 2; ++pass) {
-            const bool bg = pass == 1;
-            if (bg_mode == "on" && !bg)
-                continue;
-            if (bg_mode == "off" && bg)
-                continue;
-            CaseResult r = run_case(nprocs, bg, params);
-            healthy = healthy && r.snap.reconciles() &&
-                      r.snap.all_heaps_satisfy_invariant();
+        CaseResult r = run_case(nprocs, params);
+        healthy = healthy && r.snap.reconciles() &&
+                  r.snap.all_heaps_satisfy_invariant();
 
-            table.begin_row();
-            table.cell_u64(static_cast<std::uint64_t>(nprocs));
-            table.cell(bg ? "bg" : "fg");
-            table.cell_double(r.allocs_per_mcycle, 1);
-            table.cell_double(r.snap.latency
-                                  .path(obs::LatencyPath::malloc_refill)
-                                  .percentile(99),
-                              0);
-            table.cell_double(
-                r.snap.latency
-                    .path(obs::LatencyPath::malloc_global_fetch)
-                    .percentile(99),
-                0);
-            table.cell_double(
-                r.snap.latency
-                    .path(obs::LatencyPath::malloc_fresh_map)
-                    .percentile(99),
-                0);
-            table.cell_u64(r.snap.stats.bg_refills);
+        table.begin_row();
+        table.cell_u64(static_cast<std::uint64_t>(nprocs));
+        table.cell_double(r.allocs_per_mcycle, 1);
+        table.cell_double(
+            r.snap.latency.path(obs::LatencyPath::malloc_refill)
+                .percentile(99),
+            0);
+        table.cell_double(
+            r.snap.latency.path(obs::LatencyPath::malloc_global_fetch)
+                .percentile(99),
+            0);
+        table.cell_double(
+            r.snap.latency.path(obs::LatencyPath::malloc_fresh_map)
+                .percentile(99),
+            0);
 
-            const std::string prefix = "prodcons/p" +
-                                       std::to_string(nprocs) + "/" +
-                                       (bg ? "bg" : "fg");
-            report.add_metric(prefix + "/allocs_per_mcycle",
-                              r.allocs_per_mcycle, "1/Mcycle",
-                              metrics::Better::higher);
-            for (obs::LatencyPath path : kHotPaths) {
-                const obs::LatencyHistogram& h =
-                    r.snap.latency.path(path);
-                if (h.count() == 0)
-                    continue;
-                report.add_metric(prefix + "/p99/" +
-                                      obs::to_string(path),
-                                  h.percentile(99), "cycles",
-                                  metrics::Better::info);
-            }
-            if (bg) {
-                report.add_metric(prefix + "/refills",
-                                  static_cast<double>(
-                                      r.snap.stats.bg_refills),
-                                  "count", metrics::Better::info);
-            }
+        const std::string prefix =
+            "prodcons/p" + std::to_string(nprocs) + "/fg";
+        report.add_metric(prefix + "/allocs_per_mcycle",
+                          r.allocs_per_mcycle, "1/Mcycle",
+                          metrics::Better::higher);
+        for (obs::LatencyPath path : kHotPaths) {
+            const obs::LatencyHistogram& h = r.snap.latency.path(path);
+            if (h.count() == 0)
+                continue;
+            report.add_metric(prefix + "/p99/" + obs::to_string(path),
+                              h.percentile(99), "cycles",
+                              metrics::Better::info);
         }
     }
     table.print(std::cout);
 
-    std::cout << "\n# Expected: allocs/Mcycle rises in the bg rows —"
-                 " the worker restocks the bins off the critical path,"
-                 " so producers hit warm global fetches (~300 cycles)"
-                 " instead of fresh maps (~3500); nonzero bg refills"
-                 " confirm the worker ran.\n";
     std::cout << "health (reconcile + invariant, every cell): "
               << (healthy ? "PASS" : "FAIL") << "\n";
     report.add_metric("prodcons/health", healthy ? 1.0 : 0.0, "bool",

@@ -28,7 +28,6 @@
  */
 
 #include <cstdio>
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -53,24 +52,14 @@ using namespace hoard;
 
 /**
  * Larson-style replacement loop on @p allocator, one simulated thread
- * per processor; returns the merged whole-op latency histogram.  A
- * non-null @p worker body gets its own extra processor — the --bg
- * axis uses it to schedule the background worker fiber alongside the
- * workload.
+ * per processor; returns the merged whole-op latency histogram.
  */
 obs::LatencyHistogram
-measure(Allocator& allocator, int procs, int ops_per_thread,
-        const std::function<void()>* worker = nullptr)
+measure(Allocator& allocator, int procs, int ops_per_thread)
 {
     std::vector<obs::LatencyHistogram> per_thread(
         static_cast<std::size_t>(procs));
-    sim::Machine machine(procs + (worker != nullptr ? 1 : 0));
-    if (worker != nullptr) {
-        machine.spawn(procs, procs, [worker, procs] {
-            SimPolicy::rebind_thread_index(procs);
-            (*worker)();
-        });
-    }
+    sim::Machine machine(procs);
     for (int t = 0; t < procs; ++t) {
         machine.spawn(t, t, [&, t] {
             detail::Rng rng(static_cast<std::uint64_t>(t) + 17);
@@ -286,61 +275,6 @@ main(int argc, char** argv)
                           metrics::Better::higher);
         if (!counts_ok || !prom_ok)
             return 1;
-
-        // The --bg axis: the same P=8 run with the background engine
-        // armed and its worker fiber scheduled on a ninth processor.
-        // The worker refills bins off the critical path, so the
-        // slow-path p99s (refill, global fetch,
-        // fresh map) should drop relative to the run above; the
-        // deltas are recorded as info metrics for bench_compare.
-        Config bg_config = config;
-        bg_config.background_engine = true;
-        HoardAllocator<SimPolicy> bg_alloc(bg_config);
-        const std::function<void()> worker = [&bg_alloc] {
-            bg_alloc.bg_worker_sim(4000);
-        };
-        measure(bg_alloc, 8, ops, &worker);
-
-        obs::AllocatorSnapshot bg_snap;
-        sim::Machine bg_checker(1);
-        bg_checker.spawn(0, 0, [&bg_alloc, &bg_snap] {
-            bg_snap = bg_alloc.take_snapshot();
-        });
-        bg_checker.run();
-
-        std::cout << "\n# hoard internal per-path latency, background"
-                     " engine armed (worker fiber on a 9th core)\n";
-        metrics::Table bg_table(
-            {"path", "n", "p99 (fg)", "p99 (bg)", "delta"});
-        for (int p = 0; p < obs::kLatencyPathCount; ++p) {
-            const auto path = static_cast<obs::LatencyPath>(p);
-            const obs::LatencyHistogram& fg = snap.latency.path(path);
-            const obs::LatencyHistogram& bg = bg_snap.latency.path(path);
-            if (fg.count() == 0 && bg.count() == 0)
-                continue;
-            const double delta =
-                fg.percentile(99) - bg.percentile(99);
-            bg_table.begin_row();
-            bg_table.cell(obs::to_string(path));
-            bg_table.cell_u64(bg.count());
-            bg_table.cell_double(fg.percentile(99), 0);
-            bg_table.cell_double(bg.percentile(99), 0);
-            bg_table.cell_double(delta, 0);
-            const std::string prefix =
-                std::string("latency/internal/bg/") +
-                obs::to_string(path);
-            report.add_metric(prefix + "/p99", bg.percentile(99),
-                              "cycles", metrics::Better::info);
-            report.add_metric(prefix + "/p99_delta", delta, "cycles",
-                              metrics::Better::info);
-        }
-        bg_table.print(std::cout);
-        std::printf("bg worker: %llu refills\n",
-                    static_cast<unsigned long long>(
-                        bg_snap.stats.bg_refills));
-        report.add_metric("latency/internal/bg/refills",
-                          static_cast<double>(bg_snap.stats.bg_refills),
-                          "count", metrics::Better::info);
     }
 
     std::cout << "\n# Expected: hoard's tail stays within a small"

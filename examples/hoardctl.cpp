@@ -58,7 +58,6 @@ struct Options
     std::uint64_t rss_target = 0;      // --rss committed-bytes target
     bool latency = false;
     bool do_purge = false;
-    bool bg = false;
     bool quiet = false;
 };
 
@@ -93,7 +92,7 @@ main(int argc, char** argv)
                       &opt.prom_path);
     parser.add_string("--timeline", "FILE",
                       "write the gauge timeline as JSONL\n"
-                      "(schema hoard-timeline-v6)",
+                      "(schema hoard-timeline-v7)",
                       &opt.timeline_path);
     parser.add_uint64("--interval", "N",
                       "nanoseconds between timeline samples\n"
@@ -132,12 +131,6 @@ main(int argc, char** argv)
                       "passes while committed bytes exceed\n"
                       "BYTES (default 0 = off)",
                       &opt.rss_target, 1);
-    parser.add_flag("--bg",
-                    "arm the asynchronous background engine\n"
-                    "(helper-thread bin refill, remote-free\n"
-                    "settling, pre-commit, async purge) and\n"
-                    "print its counters",
-                    &opt.bg);
     parser.add_flag("--quiet", "verdicts only", &opt.quiet);
     parser.parse(argc, argv);
 
@@ -189,13 +182,7 @@ main(int argc, char** argv)
         // React within the run, not once per default interval.
         config.purge_interval_ticks = 1;
     }
-    if (opt.bg) {
-        config.background_engine = true;
-        // One pass every ~65 µs so a short churn sees many wakeups.
-        config.bg_interval_ticks = 1 << 16;
-    }
     HoardAllocator<NativePolicy> allocator(config);
-    allocator.start_background();  // no-op unless --bg armed it
 
     workloads::LarsonParams params;
     params.nthreads = opt.threads;
@@ -220,20 +207,8 @@ main(int argc, char** argv)
         }
     }
 
-    allocator.stop_background();  // quiesce before the final snapshot
     allocator.sample_now();  // flush the timeline with a final sample
     obs::AllocatorSnapshot snap = allocator.take_snapshot();
-
-    if (opt.bg && !opt.quiet) {
-        std::printf("background: wakeups %llu refills %llu purges "
-                    "%llu\n",
-                    static_cast<unsigned long long>(
-                        snap.stats.bg_wakeups),
-                    static_cast<unsigned long long>(
-                        snap.stats.bg_refills),
-                    static_cast<unsigned long long>(
-                        snap.stats.bg_purges));
-    }
 
     if (!opt.quiet) {
         if (opt.snapshot_path.empty()) {

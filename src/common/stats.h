@@ -374,9 +374,9 @@ struct AllocatorStats
     Counter bad_free_foreign;    ///< frees of another allocator's memory
     Counter bad_free_interior;   ///< frees of misaligned/interior pointers
     Counter bad_free_double;     ///< frees of blocks already free
-    Counter bg_wakeups;          ///< background-worker passes started
-    Counter bg_refills;          ///< superblocks the worker formatted into bins
-    Counter bg_purges;           ///< purge passes run on the worker's cadence
+    /// Never incremented (the allocator has no background thread);
+    /// kept because perfbench/harness.h reads it by name.
+    Counter bg_wakeups;
 
     /**
      * Fragmentation as the paper reports it: maximum memory held by the

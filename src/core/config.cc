@@ -73,10 +73,6 @@ Config::validate() const
                     static_cast<unsigned long long>(
                         purge_interval_ticks));
     }
-    if (bg_interval_ticks < 1) {
-        HOARD_FATAL("bg_interval_ticks (%llu) must be >= 1",
-                    static_cast<unsigned long long>(bg_interval_ticks));
-    }
 }
 
 }  // namespace hoard

@@ -4,7 +4,12 @@
  *
  * Defaults reproduce the paper's configuration: S = 8 KiB superblocks,
  * empty fraction f = 1/4, slack K = 0, geometric size classes with base
- * b = 1.2.  Every knob here is swept by an ablation bench (DESIGN.md §6).
+ * b = 1.2.  The paper's parameters (S, f, K, t), the global fetch batch
+ * and the magazine sizes each have an ablation bench (bench/abl_*.cc,
+ * DESIGN.md §6), and macro_rss compares the purge pass against
+ * retention.  The observability, profiler, latency and hardening knobs
+ * are not swept: they gate instrumentation and checks, and
+ * micro_obs_overhead prices them.
  */
 
 #ifndef HOARD_CORE_CONFIG_H_
@@ -262,39 +267,6 @@ struct Config
      * Must be >= 1.
      */
     std::uint64_t purge_interval_ticks = 1 << 20;
-
-    /**
-     * Arm the asynchronous background engine (src/core/background.h):
-     * a helper worker — a native thread under NativePolicy, a
-     * cooperative fiber body under SimPolicy — that replenishes global
-     * bins below their low watermark and runs the purge pass on its
-     * own cadence (removing the countdown election from the
-     * deallocate tail).  Off by default: the foreground paths keep
-     * only the relaxed demand-counter store they already perform, and
-     * purge election is folded into the existing armed flag, so the
-     * disarmed hot path is unchanged (micro_obs_overhead gates it).
-     * HOARD_BG under the facade.
-     */
-    bool background_engine = false;
-
-    /**
-     * Policy-time gap between background-worker wakeups (steady-clock
-     * nanoseconds under NativePolicy, virtual cycles under SimPolicy).
-     * Each wakeup runs one full pass: the bin-refill scan over every
-     * size class, then the purge cadence check.
-     * Must be >= 1.  HOARD_BG_INTERVAL under the facade.
-     */
-    std::uint64_t bg_interval_ticks = 1 << 20;
-
-    /**
-     * Low watermark for the background bin-refill job: a size class
-     * whose global bin holds fewer than this many superblocks *and*
-     * has missed a fetch since the last pass is replenished up to the
-     * watermark with freshly formatted superblocks, so foreground
-     * fetch_from_global hits warm band-0 entries instead of falling
-     * through to fresh_map.  0 disables the refill job.
-     */
-    std::uint32_t bg_refill_watermark = 2;
 
     /**
      * What deallocate() does when the hardened free path rejects a

@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <ostream>
 #include <thread>
@@ -15,18 +16,8 @@
 
 namespace hoard {
 
-namespace {
-
-/**
- * The bare singleton, with no side effects beyond construction.  The
- * atfork handlers below must come through here, NOT through
- * global_allocator(): its lazy engine spawn locks the engine's
- * lifecycle mutex, which the forking thread holds from prepare until
- * the after-fork hooks — going through the public accessor inside a
- * fork handler self-deadlocks the fork.
- */
 HoardAllocator<NativePolicy>&
-global_instance()
+global_allocator()
 {
     // Leaked singleton: outlives all static destructors that might free.
     static auto* instance = [] {
@@ -76,14 +67,14 @@ global_instance()
         detail::env_number("HOARD_PURGE_AGE", &config.purge_age_ticks);
         detail::env_number("HOARD_PURGE_INTERVAL",
                            &config.purge_interval_ticks, 1);
-        // Background engine (docs/ARCHITECTURE.md) and its pass
-        // interval (ns).  The worker thread is spawned lazily in
-        // global_allocator(), never here: pthread_create can re-enter
-        // malloc, and this lambda runs inside the magic static's
-        // one-time initializer.
-        detail::env_flag("HOARD_BG", &config.background_engine);
-        detail::env_number("HOARD_BG_INTERVAL", &config.bg_interval_ticks,
-                           1);
+        // HOARD_BG and HOARD_BG_INTERVAL armed and paced the removed
+        // background engine; a process that still sets them is told.
+        for (const char* name : {"HOARD_BG", "HOARD_BG_INTERVAL"}) {
+            if (const char* v = std::getenv(name))
+                detail::report_bad_env(
+                    name, v,
+                    "unset: the background engine was removed");
+        }
         // HOARD_TIMELINE=<path> arms the gauge time-series sampler so
         // the LD_PRELOAD shim can dump the timeline there at exit
         // (docs/SHIM.md); the 1 ms default interval keeps a long run's
@@ -98,30 +89,6 @@ global_instance()
         return new HoardAllocator<NativePolicy>(config);
     }();
     return *instance;
-}
-
-}  // namespace
-
-HoardAllocator<NativePolicy>&
-global_allocator()
-{
-    HoardAllocator<NativePolicy>& instance = global_instance();
-    // Lazy engine spawn, outside the magic static's initializer: the
-    // first caller to reach here after construction starts the worker
-    // (and the child of a fork re-spawns its copy the same way).  The
-    // thread_local guard stops the recursion where pthread_create
-    // itself mallocs (TLS blocks on some libcs) and re-enters this
-    // function on the same thread mid-spawn.
-    if (instance.background_armed() &&
-        !instance.background_running()) [[unlikely]] {
-        static thread_local bool spawning = false;
-        if (!spawning) {
-            spawning = true;
-            instance.start_background();
-            spawning = false;
-        }
-    }
-    return instance;
 }
 
 void*
@@ -241,27 +208,24 @@ namespace {
  * prepare_fork documents its internal order).  Parent unlocks in
  * reverse; the child also repairs torn state (child_after_fork).
  */
-// All three handlers go through global_instance(): the public
-// accessor's lazy engine spawn would try to take the engine lifecycle
-// mutex this very thread holds across the fork (see global_instance).
 void
 fork_prepare()
 {
     detail::magazine_registry_prepare_fork();
-    global_instance().prepare_fork();
+    global_allocator().prepare_fork();
 }
 
 void
 fork_parent()
 {
-    global_instance().parent_after_fork();
+    global_allocator().parent_after_fork();
     detail::magazine_registry_parent_after_fork();
 }
 
 void
 fork_child()
 {
-    global_instance().child_after_fork();
+    global_allocator().child_after_fork();
     detail::magazine_registry_child_after_fork();
 }
 

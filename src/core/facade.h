@@ -149,7 +149,7 @@ std::size_t hoard_write_leak_report(std::ostream& os);
 
 /**
  * Takes one final sample and writes the gauge timeline
- * (hoard-timeline-v6 JSONL) of the global instance, or returns false
+ * (hoard-timeline-v7 JSONL) of the global instance, or returns false
  * when the sampler is disarmed.  Armed by Config::obs_sample_interval
  * or the HOARD_TIMELINE env var at first use; the LD_PRELOAD shim
  * dumps to the HOARD_TIMELINE path at process exit.

@@ -233,15 +233,6 @@ struct GlobalBin : HeapBase<Policy>
     std::atomic<std::uint32_t> occupancy{0};
 
     /**
-     * Demand counter for the background refill job: fetch_from_global
-     * bumps it (relaxed, on the already-cold miss path) whenever the
-     * occupancy probe found the bin empty.  The worker refills only
-     * classes whose demand advanced since its last pass, so idle
-     * classes are never pre-filled and the blowup bound is untouched.
-     */
-    std::atomic<std::uint32_t> fetch_misses{0};
-
-    /**
      * Fullest allocatable superblock in the bin (paper §3.1 density
      * rule).  Caller holds the lock; charges one list_op per probe.
      */

@@ -81,7 +81,6 @@
 #include "common/memutil.h"
 #include "common/stats.h"
 #include "core/allocator.h"
-#include "core/background.h"
 #include "core/config.h"
 #include "core/heap.h"
 #include "core/magazine.h"
@@ -198,25 +197,11 @@ class HoardAllocator final : public Allocator
                     static_cast<std::uint32_t>(classes_.count()));
             }
         }
-        // Worker-only state; sized here, touched by nothing on the
-        // foreground paths.  The engine itself is NOT started in the
-        // constructor: spawning a thread can re-enter malloc (TLS
-        // setup), which deadlocks a facade whose magic static is
-        // mid-construction.  Embedders call start_background() once
-        // the instance is reachable (the facade does so lazily).
-        bg_miss_seen_.assign(static_cast<std::size_t>(classes_.count()),
-                             0);
-        bg_miss_served_.assign(static_cast<std::size_t>(classes_.count()),
-                               0);
     }
 
     ~HoardAllocator() override
     {
-        // Quiesce the background worker before anything is torn down:
-        // a pass in flight may hold bin or heap locks and map fresh
-        // memory, all of which must settle before release_everything.
-        stop_background();
-        // Unregister next: it blocks until any in-flight thread-exit
+        // Unregister first: it blocks until any in-flight thread-exit
         // flush drains, and afterwards no exit hook will call back
         // into this allocator.  Surviving threads' stale nodes are
         // freed by their own exit hooks (the dead id skips the flush).
@@ -772,9 +757,6 @@ class HoardAllocator final : public Allocator
         snap.stats.bad_free_foreign = stats_.bad_free_foreign.get();
         snap.stats.bad_free_interior = stats_.bad_free_interior.get();
         snap.stats.bad_free_double = stats_.bad_free_double.get();
-        snap.stats.bg_wakeups = stats_.bg_wakeups.get();
-        snap.stats.bg_refills = stats_.bg_refills.get();
-        snap.stats.bg_purges = stats_.bg_purges.get();
         if constexpr (Policy::kObsEnabled) {
             // Merged per-path latency histograms: fixed arrays, so no
             // allocation here either; exact at quiescence like the
@@ -859,114 +841,6 @@ class HoardAllocator final : public Allocator
 
     /// @}
 
-    /// @name Background engine (core/background.h; docs/ARCHITECTURE.md).
-    ///
-    /// The engine is configured with Config::background_engine and
-    /// *started* with start_background() — two separate acts, because
-    /// spawning a thread from inside a facade's magic-static
-    /// initializer can deadlock (the engine header explains).  While
-    /// armed, the deallocate tail's inline purge election is folded
-    /// away (purge_inline_armed_): the worker owns the purge cadence.
-    /// Under SimPolicy start/stop are inert; the harness spawns
-    /// bg_worker_sim as one more fiber instead.
-    /// @{
-
-    /**
-     * Spawns the native worker at the Config::bg_interval_ticks
-     * cadence (a tick is a nanosecond under NativePolicy).  No-op
-     * when Config::background_engine is off, when already running, or
-     * under policies without native threads.  Never call from inside
-     * a function-local static's initializer.
-     */
-    void
-    start_background()
-    {
-        if (!bg_armed_)
-            return;
-        bg_engine_.start(config_.bg_interval_ticks);
-    }
-
-    /** Quiesces the worker: signals, joins, leaves no pass in flight.
-        Idempotent; safe when never started. */
-    void
-    stop_background()
-    {
-        bg_engine_.stop();
-    }
-
-    /** True when the engine is configured on (whether or not the
-        worker thread has been started yet). */
-    bool background_armed() const { return bg_armed_; }
-
-    /** True while a native worker thread is live. */
-    bool background_running() const { return bg_engine_.running(); }
-
-    /** Wakes a running worker for an immediate pass (tests). */
-    void kick_background() { bg_engine_.kick(); }
-
-    /** Completed worker passes (engine-side mirror of bg_wakeups). */
-    std::uint64_t background_passes() const
-    {
-        return bg_engine_.passes();
-    }
-
-    /**
-     * One worker pass, runnable from any context that holds no
-     * allocator lock: serves every class's refill demand, then runs
-     * the purge cadence.  This is the single body both worlds execute
-     * — the native thread calls it on its interval, the sim fiber from
-     * bg_worker_sim — so behavior differences between worlds reduce
-     * to scheduling.  Returns true when any job found work (an idle
-     * pass costs two demand-counter loads per class).
-     */
-    bool
-    bg_step()
-    {
-        Policy::work(CostKind::bg_wakeup);
-        stats_.bg_wakeups.add();
-        bool worked = false;
-        for (int cls = 0; cls < classes_.count(); ++cls)
-            worked |= bg_refill(cls);
-        // Purge cadence: same next_purge_tick_ election the inline
-        // hook uses, so a manual maybe_purge caller and the worker
-        // can never double-run an interval.
-        if (purge_armed_) {
-            const std::uint64_t now = Policy::timestamp();
-            std::uint64_t due =
-                next_purge_tick_.load(std::memory_order_relaxed);
-            if (now >= due &&
-                next_purge_tick_.compare_exchange_strong(
-                    due, now + config_.purge_interval_ticks,
-                    std::memory_order_relaxed)) {
-                const std::size_t released = purge();
-                stats_.bg_purges.add();
-                record_event(obs::EventKind::bg_purge, 0, -1,
-                             released);
-                worked |= released != 0;
-            }
-        }
-        record_event(obs::EventKind::bg_wakeup, 0, -1,
-                     worked ? 1 : 0);
-        return worked;
-    }
-
-    /**
-     * Deterministic sim worker: the body a harness spawns as one more
-     * fiber *before* Machine::run().  Bounded at @p steps passes so
-     * the machine's run-to-completion scheduler and deadlock detector
-     * see an ordinary finite fiber; each pass charges
-     * CostKind::bg_wakeup plus whatever its jobs cost, so two
-     * identical runs replay byte-identically.
-     */
-    void
-    bg_worker_sim(int steps)
-    {
-        for (int i = 0; i < steps; ++i)
-            bg_step();
-    }
-
-    /// @}
-
     /// @name Fork support (pthread_atfork; see docs/SHIM.md).
     /// @{
 
@@ -975,19 +849,15 @@ class HoardAllocator final : public Allocator
      * (cache mutex, then the purge mutex, then per-processor heaps by
      * index, then global bins by class, then huge stripes by slot),
      * so fork() snapshots no lock in a half-held state and no heap
-     * structure mid-mutation.  The background worker is quiesced
-     * *before* the first lock — it takes bin and heap locks on its
-     * own schedule — and the engine's lifecycle mutex stays held
-     * across the fork so no late start_background() can slip a worker
-     * in mid-snapshot.  The magazine registry's own lock is taken by
-     * the caller (hoard_install_atfork) *before* this, since flushes
-     * can hold it while waiting on heap locks.  MmapPageProvider and
-     * the reuse cache are lock-free and need no quiescing here.
+     * structure mid-mutation.  The magazine registry's own lock is
+     * taken by the caller (hoard_install_atfork) *before* this, since
+     * flushes can hold it while waiting on heap locks.
+     * MmapPageProvider and the reuse cache are lock-free and need no
+     * quiescing here.
      */
     void
     prepare_fork()
     {
-        bg_engine_.prepare_fork();
         cache_mutex_.lock();
         purge_mutex_.lock();
         for (auto& heap : heaps_)
@@ -998,25 +868,26 @@ class HoardAllocator final : public Allocator
             stripe.mutex.lock();
     }
 
-    /** Releases every lock prepare_fork() took, in reverse order,
-        then restarts the worker if the engine is armed. */
+    /** Releases every lock prepare_fork() took, in reverse order. */
     void
     parent_after_fork()
     {
-        release_fork_locks();
-        bg_engine_.parent_after_fork();
-        start_background();
+        for (std::size_t i = kHugeStripes; i-- > 0;)
+            huge_stripes_[i].mutex.unlock();
+        for (std::size_t i = global_bins_.size(); i-- > 0;)
+            global_bins_[i]->mutex.unlock();
+        for (std::size_t i = heaps_.size(); i-- > 0;)
+            heaps_[i]->mutex.unlock();
+        purge_mutex_.unlock();
+        cache_mutex_.unlock();
     }
 
     /**
      * Child-side recovery: the forking thread (the only one alive)
-     * still owns every lock prepare_fork() took, so release them,
-     * then repair the pieces of state fork() can tear:
+     * still owns every lock prepare_fork() took, so release them with
+     * the parent's sweep, then repair the pieces of state fork() can
+     * tear:
      *
-     *  - the background engine's primitives are reinitialized (the
-     *    worker thread does not exist in the child); the worker is
-     *    NOT respawned here — it comes back lazily on the child's
-     *    next allocation;
      *  - the reuse cache's popper count may include parent threads
      *    that no longer exist; a nonzero count would make the next
      *    release_to_provider() spin in await_poppers() forever;
@@ -1036,8 +907,7 @@ class HoardAllocator final : public Allocator
     void
     child_after_fork()
     {
-        release_fork_locks();
-        bg_engine_.child_after_fork();
+        parent_after_fork();
         reuse_cache_.reset_poppers();
         if constexpr (Policy::kObsEnabled) {
             // A dead parent thread may have held the sampler's append
@@ -1047,11 +917,6 @@ class HoardAllocator final : public Allocator
         }
         flush_thread_caches();
         repair_after_fork();
-        // Deliberately NO start_background() here: pthread_create
-        // inside an atfork child handler runs while the process is
-        // still inside fork(); the facade's lazy spawn restarts the
-        // worker on the child's next allocation instead.  Embedders
-        // driving the allocator directly do the same after forking.
     }
 
     /// @}
@@ -1926,9 +1791,6 @@ class HoardAllocator final : public Allocator
                                  stats_.bad_free_foreign.get(),
                                  stats_.bad_free_interior.get(),
                                  stats_.bad_free_double.get());
-            writer.set_bg(stats_.bg_wakeups.get(),
-                          stats_.bg_refills.get(),
-                          stats_.bg_purges.get());
             if constexpr (Policy::kProfilerEnabled) {
                 if (profiler_ != nullptr) {
                     const obs::ProfilerTotals pt = profiler_->totals();
@@ -2557,10 +2419,9 @@ class HoardAllocator final : public Allocator
         }
     }
 
-    /** Hands unlinked @p sb to @p bin. Caller holds the bin lock; the
-        owner store happens under it (escaped blocks may exist).  A
-        caller landing an *empty* superblock (the background refill)
-        also owns the bin_empties_ bump. */
+    /** Hands unlinked non-empty @p sb to @p bin. Caller holds the bin
+        lock; the owner store happens under it (escaped blocks may
+        exist). */
     void
     land_in_bin_locked(Bin& bin, Superblock* sb)
     {
@@ -2624,12 +2485,6 @@ class HoardAllocator final : public Allocator
             return first;
         }
         stats_.global_bin_misses.add();
-        // Demand signal for the background refill job, which scans
-        // every class's counter on each pass.  One relaxed store on
-        // the already-cold miss path, armed or not.
-        bin.fetch_misses.store(
-            bin.fetch_misses.load(std::memory_order_relaxed) + 1,
-            std::memory_order_relaxed);
 
         Superblock* sb = reuse_cache_.pop(cls);
         if (sb == nullptr)
@@ -2767,126 +2622,6 @@ class HoardAllocator final : public Allocator
         }
     }
 
-    /** Reverse of prepare_fork()'s lock sweep (both after-fork hooks
-        start here; the engine and repair steps differ per side). */
-    void
-    release_fork_locks()
-    {
-        for (std::size_t i = kHugeStripes; i-- > 0;)
-            huge_stripes_[i].mutex.unlock();
-        for (std::size_t i = global_bins_.size(); i-- > 0;)
-            global_bins_[i]->mutex.unlock();
-        for (std::size_t i = heaps_.size(); i-- > 0;)
-            heaps_[i]->mutex.unlock();
-        purge_mutex_.unlock();
-        cache_mutex_.unlock();
-    }
-
-    /// @name Background refill job (called from bg_step only).
-    /// @{
-
-    /**
-     * Serves @p cls's demand: one bg_refill_class attempt per
-     * fetch_from_global miss since the last pass, counting misses that
-     * land while an attempt runs, then one final attempt (which also
-     * retries a refusal at the empty-cache limit).  A burst of misses
-     * can so restock the bin with more than one superblock per pass;
-     * a single attempt per pass measurably lowers micro_prodcons bg
-     * throughput (P=8: 3233.2 vs 3238.0 allocs/Mcycle).  The signed
-     * compare absorbs a native lost update that steps the relaxed
-     * counter backwards.
-     */
-    bool
-    bg_refill(int cls)
-    {
-        const auto idx = static_cast<std::size_t>(cls);
-        const Bin& bin = *global_bins_[idx];
-        std::uint32_t& served = bg_miss_served_[idx];
-        bool worked = false;
-        for (;;) {
-            const std::uint32_t misses =
-                bin.fetch_misses.load(std::memory_order_relaxed);
-            if (static_cast<std::int32_t>(misses - served) <= 0) {
-                served = misses;
-                break;
-            }
-            ++served;
-            worked |= bg_refill_class(cls);
-        }
-        worked |= bg_refill_class(cls);
-        return worked;
-    }
-
-    /**
-     * Refill job: when @p cls's global bin sits below
-     * Config::bg_refill_watermark *and* a foreground fetch has missed
-     * the class since the worker's last look (the fetch_misses demand
-     * counter), park one empty formatted superblock in the bin's band 0,
-     * so the next fetch_from_global is a warm hit instead of a
-     * fresh-map.  The demand gate is what keeps the blowup bound
-     * honest: an idle class is never pre-filled, so worker-created
-     * empties only ever replace fresh maps the foreground was about
-     * to pay for anyway.  Sourcing prefers the cross-class reuse
-     * cache (reviving and reformatting off the critical path — the
-     * exact work fetch_from_global would otherwise do under the
-     * caller's latency); only a dry cache maps fresh memory, and
-     * never past Config::empty_cache_limit, the same bound the free
-     * path enforces.
-     */
-    bool
-    bg_refill_class(int cls)
-    {
-        const auto idx = static_cast<std::size_t>(cls);
-        Bin& bin = *global_bins_[idx];
-        const std::uint32_t misses =
-            bin.fetch_misses.load(std::memory_order_relaxed);
-        if (misses == bg_miss_seen_[idx])
-            return false;  // no demand since the last pass
-        if (config_.bg_refill_watermark == 0 ||
-            bin.occupancy.load(std::memory_order_relaxed) >=
-                config_.bg_refill_watermark) {
-            bg_miss_seen_[idx] = misses;
-            return false;
-        }
-        Superblock* sb = reuse_cache_.pop(cls);
-        if (sb != nullptr) {
-            stats_.cache_pops.add();
-            record_event(obs::EventKind::cache_pop, 0,
-                         sb->size_class(), sb->span_bytes());
-            revive_superblock(sb);
-            if (sb->size_class() != cls) {
-                Policy::work(CostKind::superblock_init);
-                sb->reformat(cls,
-                             static_cast<std::uint32_t>(
-                                 classes_.block_size(cls)));
-            }
-        } else {
-            if (reuse_cache_.size() +
-                    bin_empties_.load(std::memory_order_relaxed) >=
-                config_.empty_cache_limit)
-                return false;
-            sb = fresh_superblock(cls);
-            if (sb == nullptr)
-                return false;  // OOM; the foreground path reclaims
-        }
-        // Stamp before publication: once linked, a fetch may adopt
-        // and reformat the superblock concurrently.
-        if (purge_armed_)
-            sb->set_retire_tick(Policy::timestamp());
-        {
-            std::lock_guard<typename Bin::Mutex> guard(bin.mutex);
-            land_in_bin_locked(bin, sb);
-            bin_empties_.fetch_add(1, std::memory_order_relaxed);
-        }
-        bg_miss_seen_[idx] = misses;
-        stats_.bg_refills.add();
-        record_event(obs::EventKind::bg_refill, 0, cls,
-                     config_.superblock_bytes);
-        return true;
-    }
-
-    /// @}
-
     /// Frees between purge-cadence checks.  Coarser than the sampler's
     /// period: a due check still costs a timestamp, and a due pass
     /// takes bin locks and issues madvise.
@@ -2897,16 +2632,14 @@ class HoardAllocator final : public Allocator
      * check whether a purge pass is due (policy time has passed
      * next_purge_tick_) and run one.  The CAS elects a single thread
      * per interval; losers — and winners — never block here beyond the
-     * pass itself.  Compiled to a single predicted-not-taken branch
-     * when the pass is disarmed — and "disarmed" includes the case
-     * where the background engine owns the cadence instead
-     * (purge_inline_armed_), so arming the engine removes this
-     * election from the deallocate tail entirely.
+     * pass itself.  This election is the purge pass's only automatic
+     * driver.  Compiled to a single predicted-not-taken branch when
+     * the pass is disarmed.
      */
     void
     maybe_purge()
     {
-        if (!purge_inline_armed_) [[likely]]
+        if (!purge_armed_) [[likely]]
             return;
         thread_local unsigned countdown = kPurgeCheckPeriod;
         if (--countdown != 0) [[likely]]
@@ -3298,23 +3031,6 @@ class HoardAllocator final : public Allocator
     /// Policy time before which no automatic pass runs; the CAS in
     /// maybe_purge() elects one thread per interval.
     std::atomic<std::uint64_t> next_purge_tick_{0};
-    /// True when Config::background_engine asked for the engine:
-    /// start_background() spawns the worker.
-    const bool bg_armed_ = config_.background_engine;
-    /// The deallocate tail's inline purge election stays armed only
-    /// while the background engine is not the cadence owner; hoisted
-    /// so maybe_purge() keeps exactly one predicted branch either way.
-    const bool purge_inline_armed_ = purge_armed_ && !bg_armed_;
-    /// Per-class fetch_misses value at the worker's last pass — the
-    /// demand gate of bg_refill_class.  Worker-only state.
-    std::vector<std::uint32_t> bg_miss_seen_;
-    /// Per-class fetch_misses the worker has answered with a refill
-    /// attempt (bg_refill).  Worker-only state.
-    std::vector<std::uint32_t> bg_miss_served_;
-    /// The worker's lifecycle shell: a native thread under
-    /// Policy::kBackgroundThread, inert under SimPolicy (the harness
-    /// drives bg_worker_sim instead).
-    BackgroundEngine<HoardAllocator, Policy> bg_engine_{this};
     detail::AllocatorStats stats_;
     /// Event rings; non-null only while tracing is enabled.
     std::unique_ptr<obs::EventRecorder> recorder_;

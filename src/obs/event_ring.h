@@ -54,9 +54,6 @@ enum class EventKind : std::uint16_t
     cache_pop,            ///< reuse cache supplied a recycled superblock
     bad_free,             ///< hardened free path rejected a pointer
     latency_outlier,      ///< op exceeded Config::latency_outlier_cycles
-    bg_wakeup,            ///< background worker started a pass
-    bg_refill,            ///< worker formatted a superblock into a bin
-    bg_purge,             ///< worker ran the purge pass on its cadence
     kCount
 };
 
@@ -93,12 +90,6 @@ to_string(EventKind kind)
         return "bad_free";
       case EventKind::latency_outlier:
         return "latency_outlier";
-      case EventKind::bg_wakeup:
-        return "bg_wakeup";
-      case EventKind::bg_refill:
-        return "bg_refill";
-      case EventKind::bg_purge:
-        return "bg_purge";
       case EventKind::kCount:
         break;
     }

@@ -167,9 +167,6 @@ struct StatsSummary
     std::uint64_t bad_free_foreign = 0;
     std::uint64_t bad_free_interior = 0;
     std::uint64_t bad_free_double = 0;
-    std::uint64_t bg_wakeups = 0;
-    std::uint64_t bg_refills = 0;
-    std::uint64_t bg_purges = 0;
 };
 
 /** Full allocator snapshot: configuration echo + per-heap state. */

@@ -92,13 +92,6 @@ struct TimeSample
     std::array<std::uint64_t, kLatencyPathCount> lat_counts{};
     std::array<std::uint64_t, kLatencyPathCount> lat_p99{};
     /// @}
-    /// @name Background-engine counters (zeros while the engine is
-    /// disarmed).  Cumulative, like every other counter here.
-    /// @{
-    std::uint64_t bg_wakeups = 0;  ///< worker passes
-    std::uint64_t bg_refills = 0;  ///< bin refills parked
-    std::uint64_t bg_purges = 0;   ///< cadenced purge passes run
-    /// @}
     std::vector<HeapPoint> heaps;    ///< [0] is the global heap
 
     /** A/U blowup at this instant (0 when nothing is live). */
@@ -252,18 +245,6 @@ class TimeSeriesSampler
             slot_->bad_free_double.store(dbl, std::memory_order_relaxed);
         }
 
-        /** Background-engine counters. */
-        void
-        set_bg(std::uint64_t wakeups, std::uint64_t refills,
-               std::uint64_t purges)
-        {
-            slot_->bg_wakeups.store(wakeups,
-                                    std::memory_order_relaxed);
-            slot_->bg_refills.store(refills,
-                                    std::memory_order_relaxed);
-            slot_->bg_purges.store(purges, std::memory_order_relaxed);
-        }
-
         void
         set_profiler(std::uint64_t sampled_requested,
                      std::uint64_t sampled_rounded)
@@ -413,12 +394,6 @@ class TimeSeriesSampler
                 slot.prof_requested.load(std::memory_order_relaxed);
             sample.prof_rounded =
                 slot.prof_rounded.load(std::memory_order_relaxed);
-            sample.bg_wakeups =
-                slot.bg_wakeups.load(std::memory_order_relaxed);
-            sample.bg_refills =
-                slot.bg_refills.load(std::memory_order_relaxed);
-            sample.bg_purges =
-                slot.bg_purges.load(std::memory_order_relaxed);
             for (std::size_t p = 0; p < sample.lat_counts.size(); ++p) {
                 sample.lat_counts[p] =
                     slot.lat_counts[p].load(std::memory_order_relaxed);
@@ -461,9 +436,6 @@ class TimeSeriesSampler
         std::atomic<std::uint64_t> bad_free_double{0};
         std::atomic<std::uint64_t> prof_requested{0};
         std::atomic<std::uint64_t> prof_rounded{0};
-        std::atomic<std::uint64_t> bg_wakeups{0};
-        std::atomic<std::uint64_t> bg_refills{0};
-        std::atomic<std::uint64_t> bg_purges{0};
         std::array<std::atomic<std::uint64_t>, kLatencyPathCount>
             lat_counts{};
         std::array<std::atomic<std::uint64_t>, kLatencyPathCount>

@@ -118,7 +118,7 @@ void
 write_timeseries_jsonl(std::ostream& os, const TimeSeriesSampler& sampler)
 {
     for (const TimeSample& s : sampler.collect()) {
-        os << "{\"schema\":\"hoard-timeline-v6\",\"ts\":" << s.timestamp
+        os << "{\"schema\":\"hoard-timeline-v7\",\"ts\":" << s.timestamp
            << ",\"in_use\":" << s.in_use << ",\"held\":" << s.held
            << ",\"committed\":" << s.committed_bytes
            << ",\"reserved\":" << s.reserved_bytes
@@ -136,10 +136,7 @@ write_timeseries_jsonl(std::ostream& os, const TimeSeriesSampler& sampler)
            << ",\"bad_free_interior\":" << s.bad_free_interior
            << ",\"bad_free_double\":" << s.bad_free_double
            << ",\"prof_sampled_requested\":" << s.prof_requested
-           << ",\"prof_sampled_rounded\":" << s.prof_rounded
-           << ",\"bg_wakeups\":" << s.bg_wakeups
-           << ",\"bg_refills\":" << s.bg_refills
-           << ",\"bg_purges\":" << s.bg_purges;
+           << ",\"prof_sampled_rounded\":" << s.prof_rounded;
         for (int p = 0; p < kLatencyPathCount; ++p) {
             const char* name = to_string(static_cast<LatencyPath>(p));
             const auto i = static_cast<std::size_t>(p);
@@ -447,15 +444,6 @@ write_prometheus(std::ostream& os, const AllocatorSnapshot& snap)
     prom_header(os, "hoard_bad_free_double_total", "counter",
                 "frees of blocks that were already free");
     os << "hoard_bad_free_double_total " << s.bad_free_double << '\n';
-    prom_header(os, "hoard_bg_wakeups_total", "counter",
-                "background-worker passes");
-    os << "hoard_bg_wakeups_total " << s.bg_wakeups << '\n';
-    prom_header(os, "hoard_bg_refills_total", "counter",
-                "global-bin superblocks parked by the background worker");
-    os << "hoard_bg_refills_total " << s.bg_refills << '\n';
-    prom_header(os, "hoard_bg_purges_total", "counter",
-                "purge passes run on the background cadence");
-    os << "hoard_bg_purges_total " << s.bg_purges << '\n';
     os.flush();
 }
 
@@ -486,11 +474,6 @@ write_human(std::ostream& os, const AllocatorSnapshot& snap)
            << " foreign " << snap.stats.bad_free_foreign << " interior "
            << snap.stats.bad_free_interior << " double "
            << snap.stats.bad_free_double << "\n";
-    }
-    if (snap.stats.bg_wakeups != 0) {
-        os << "  background: wakeups " << snap.stats.bg_wakeups
-           << " refills " << snap.stats.bg_refills << " purges "
-           << snap.stats.bg_purges << "\n";
     }
     os << "  reconciles: " << (snap.reconciles() ? "yes" : "no")
        << ", invariant: "

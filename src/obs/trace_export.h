@@ -88,7 +88,7 @@ void write_chrome_trace(std::ostream& os, const EventRecorder& recorder,
 
 /**
  * Writes the sampler's retained samples as JSONL, one
- * {"schema":"hoard-timeline-v6", ...} object per line, oldest first:
+ * {"schema":"hoard-timeline-v7", ...} object per line, oldest first:
  * policy-time timestamp; the footprint gauges "in_use", "held",
  * "committed" (the RSS ground truth), "reserved" (provider address
  * space), "purged" (held-but-decommitted, so committed + purged ==
@@ -96,8 +96,7 @@ void write_chrome_trace(std::ostream& os, const EventRecorder& recorder,
  * "allocs", "frees", "transfers", "global_fetches",
  * "global_bin_hits"/"global_bin_misses", "cache_pushes"/"cache_pops",
  * the "bad_free_*" rejections, the profiler's
- * "prof_sampled_requested"/"prof_sampled_rounded" byte totals, and
- * the background engine's "bg_wakeups", "bg_refills", "bg_purges";
+ * "prof_sampled_requested"/"prof_sampled_rounded" byte totals;
  * per-path "lat_<path>_n" (op count) and "lat_<path>_p99" (P99 in
  * policy cycles) for each obs::LatencyPath; "blowup"; and a "heaps"
  * array of per-heap {"u":..,"a":..} points (index 0 is the global

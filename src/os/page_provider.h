@@ -100,9 +100,9 @@ class PageProvider
     /**
      * Optional pre-commit hint: a provider may make up to @p count
      * recyclable spans of @p bytes mappable ahead of demand.  The
-     * allocator never calls it; the no-op default stays so provider
-     * decorators that forward it keep compiling.  Returns the number
-     * of spans transitioned.
+     * allocator never calls it; the no-op default stays because
+     * perfbench/traced_main.cc overrides it.  Returns the number of
+     * spans transitioned.
      */
     virtual std::size_t
     prewarm(std::size_t /* bytes */, std::size_t /* count */)

@@ -22,7 +22,6 @@ enum class CostKind
     os_commit,        ///< committing (or reviving) a decommitted span
     os_purge,         ///< decommitting a span (madvise)
     transfer,         ///< moving a superblock between heaps
-    bg_wakeup,        ///< one background-worker pass (scan overhead)
 };
 
 }  // namespace hoard

@@ -113,15 +113,6 @@ struct NativePolicy
     static constexpr bool kProfilerEnabled = obs::kProfilerCompiledIn;
 
     /**
-     * Whether the background engine (core/background.h) may spawn a
-     * real helper thread when armed.  Under SimPolicy this is false:
-     * fibers must be spawned on the Machine before run(), so the sim
-     * worker is a cooperative fiber body the harness schedules itself
-     * (HoardAllocator::bg_worker_sim), keeping replays byte-identical.
-     */
-    static constexpr bool kBackgroundThread = true;
-
-    /**
      * Captures the calling thread's backtrace into @p frames (at most
      * @p max entries) by walking the frame-pointer chain; returns the
      * number captured.  No allocation, no libunwind — the tree builds

@@ -34,13 +34,6 @@ struct SimPolicy
     static constexpr bool kProfilerEnabled = obs::kProfilerCompiledIn;
 
     /**
-     * @see NativePolicy::kBackgroundThread — the sim worker is a
-     * cooperative fiber the harness spawns before Machine::run(), never
-     * an OS thread, so scheduling stays deterministic.
-     */
-    static constexpr bool kBackgroundThread = false;
-
-    /**
      * Deterministic "backtrace" for profiler tests: frame 0 is the
      * fiber's site token (set by the workload via
      * Machine::set_profile_site), frame 1 tags the logical thread.
@@ -118,9 +111,6 @@ struct SimPolicy
             break;
           case CostKind::transfer:
             cycles = c.transfer;
-            break;
-          case CostKind::bg_wakeup:
-            cycles = c.bg_wakeup;
             break;
         }
         m->charge(cycles);

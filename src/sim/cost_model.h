@@ -47,10 +47,6 @@ struct CostModel
                                         ///< (mprotect or zero-page refault)
     std::uint64_t os_purge = 900;       ///< decommitting a span (madvise)
     std::uint64_t transfer = 120;       ///< heap <-> global superblock move
-    std::uint64_t bg_wakeup = 40;       ///< background-worker pass overhead
-                                        ///< (demand scan, before any job
-                                        ///< charges its own os_*/transfer
-                                        ///< costs)
 };
 
 }  // namespace sim

@@ -274,6 +274,7 @@ TEST(FacadeEnvDeathTest, MalformedKnobsAreReportedOnceAndIgnored)
         {"HOARD_SUPERBLOCK_BYTES", "64K"},
         {"HOARD_LATENCY_PERIOD", "12abc"},
         {"HOARD_BG", ""},
+        {"HOARD_BG_INTERVAL", "100000"},  // well-formed, but removed
         {"HOARD_HARDENED_FREE", "yes"},
         {"HOARD_LATENCY", "yes"},
         {"HOARD_BAD_FREE", "log"},
@@ -299,7 +300,6 @@ TEST(FacadeEnvDeathTest, MalformedKnobsAreReportedOnceAndIgnored)
                     c.superblock_bytes == defaults.superblock_bytes &&
                     c.latency_sample_period ==
                         defaults.latency_sample_period &&
-                    c.background_engine == defaults.background_engine &&
                     c.hardened_free == defaults.hardened_free &&
                     c.latency_histograms ==
                         defaults.latency_histograms &&
@@ -328,13 +328,12 @@ TEST(FacadeEnvDeathTest, ValidKnobsApplySilently)
         {
             setenv("HOARD_RSS_TARGET", "67108864", 1);
             setenv("HOARD_SUPERBLOCK_BYTES", "65536", 1);
-            setenv("HOARD_BG", "off", 1);
             setenv("HOARD_HARDENED_FREE", "false", 1);
             build_singleton_and_exit([](const std::string& err) {
                 const Config& c = global_allocator().config();
                 return err.empty() && c.rss_target_bytes == 67108864 &&
                        c.superblock_bytes == 65536 &&
-                       !c.background_engine && !c.hardened_free;
+                       !c.hardened_free;
             });
         },
         ::testing::ExitedWithCode(0), "");

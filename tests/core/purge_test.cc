@@ -2,13 +2,16 @@
  * @file
  * Purge-pass unit tests: decommit accounting (committed + purged ==
  * held), revival on the fetch path, RSS targeting, the deallocate-tail
- * cadence, provider-refusal rollback, and byte-identical replay under
- * the simulated policy.
+ * cadence (alone and raced against other threads' fetches and
+ * revivals), provider-refusal rollback, and byte-identical replay
+ * under the simulated policy.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -194,6 +197,87 @@ TEST(PurgePass, DeallocateTailCadenceRunsPasses)
     }
     EXPECT_GE(allocator.stats().purge_passes.get(), 1u);
     EXPECT_LT(allocator.stats().committed_bytes.current(), before);
+    EXPECT_TRUE(allocator.check_invariants());
+}
+
+TEST(PurgePass, ConcurrentCadenceRacesRevivalsAndStaysExact)
+{
+    // The deallocate-tail election is the only automatic purge driver.
+    // Here four threads race it: each hands its batches to the next
+    // thread, so every free is remote, and batch sizes swing so empties
+    // flow to the global heap, get purged, and are revived by another
+    // thread's fetch while passes run.
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 96;
+    constexpr std::size_t kSizes[] = {16, 72, 200, 640, 1500, 4000, 9000};
+    os::MmapPageProvider provider;
+    Config config = purge_config();
+    config.heap_count = kThreads;
+    config.rss_target_bytes = 1;  // armed, always over target
+    config.purge_interval_ticks = 1;
+    NativeHoard allocator(config, provider);
+
+    struct Handoff
+    {
+        std::atomic<std::vector<void*>*> batch{nullptr};
+    };
+    Handoff boxes[kThreads];
+    std::atomic<int> corrupted{0};
+    std::vector<std::thread> threads;
+    for (int tid = 0; tid < kThreads; ++tid) {
+        threads.emplace_back([&, tid] {
+            NativePolicy::rebind_thread_index(tid);
+            std::vector<void*> storage[2];
+            Handoff& out = boxes[tid];
+            Handoff& in = boxes[(tid + kThreads - 1) % kThreads];
+            for (int round = 0; round < kRounds; ++round) {
+                // Every 8th round is a spike; the rest are small.
+                const int count = round % 8 == 0 ? 1024 : 128;
+                std::vector<void*>& batch = storage[round % 2];
+                batch.clear();
+                for (int i = 0; i < count; ++i) {
+                    const std::size_t bytes =
+                        kSizes[static_cast<std::size_t>(i + round) %
+                               std::size(kSizes)];
+                    void* p = allocator.allocate(bytes);
+                    ASSERT_NE(p, nullptr);
+                    detail::pattern_fill(p, bytes,
+                                         static_cast<std::uint64_t>(i));
+                    batch.push_back(p);
+                }
+                while (out.batch.load(std::memory_order_acquire) !=
+                       nullptr)
+                    std::this_thread::yield();
+                out.batch.store(&batch, std::memory_order_release);
+
+                // The upstream thread's batch of the same round.
+                std::vector<void*>* theirs;
+                while ((theirs = in.batch.load(
+                            std::memory_order_acquire)) == nullptr)
+                    std::this_thread::yield();
+                for (std::size_t i = 0; i < theirs->size(); ++i) {
+                    const std::size_t bytes =
+                        kSizes[(i + static_cast<std::size_t>(round)) %
+                               std::size(kSizes)];
+                    if (!detail::pattern_check((*theirs)[i], bytes, i))
+                        corrupted.fetch_add(1, std::memory_order_relaxed);
+                    allocator.deallocate((*theirs)[i]);
+                }
+                in.batch.store(nullptr, std::memory_order_release);
+            }
+            // Keep this thread's last batch alive until it is freed.
+            while (out.batch.load(std::memory_order_acquire) != nullptr)
+                std::this_thread::yield();
+        });
+    }
+    for (std::thread& t : threads)
+        t.join();
+
+    EXPECT_EQ(corrupted.load(), 0);
+    EXPECT_GE(allocator.stats().purge_passes.get(), 2u);
+    EXPECT_GE(allocator.stats().revived_superblocks.get(), 1u);
+    EXPECT_EQ(allocator.stats().in_use_bytes.current(), 0u);
+    EXPECT_TRUE(allocator.take_snapshot().reconciles());
     EXPECT_TRUE(allocator.check_invariants());
 }
 

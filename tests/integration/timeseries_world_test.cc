@@ -100,7 +100,7 @@ check_quiesced(HoardAllocator<Policy>& allocator,
         ++count;
         ASSERT_TRUE(testutil::json_valid(line)) << line;
         metrics::JsonValue doc = metrics::JsonValue::parse(line);
-        EXPECT_EQ(doc.string_or("schema", ""), "hoard-timeline-v6");
+        EXPECT_EQ(doc.string_or("schema", ""), "hoard-timeline-v7");
         const metrics::JsonValue* heaps = doc.find("heaps");
         ASSERT_NE(heaps, nullptr);
         EXPECT_EQ(heaps->items().size(), snap.heaps.size());
