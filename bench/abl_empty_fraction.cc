@@ -64,7 +64,7 @@ main()
                           "global fetches"});
 
     for (double f : fractions) {
-        Config config;
+        Config config = sim_config();
         config.empty_fraction = f;
         config.release_threshold = f;  // paper-literal mode
         config.heap_count = nthreads;

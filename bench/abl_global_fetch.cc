@@ -51,7 +51,7 @@ main()
          "A-peak (native larson)"});
 
     for (std::size_t batch : batch_sizes) {
-        Config config;
+        Config config = sim_config();
         config.heap_count = nthreads;
         config.global_fetch_batch = batch;
         // Paper-literal transfer mode (any superblock at least f

@@ -43,7 +43,7 @@ main()
                           "global fetches", "sim speedup P=8"});
 
     for (double t : thresholds) {
-        Config config;
+        Config config = sim_config();
         config.release_threshold = t;
         config.heap_count = nthreads;
 

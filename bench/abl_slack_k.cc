@@ -40,7 +40,7 @@ main()
                           "global fetches", "transfers/op"});
 
     for (std::size_t k : slacks) {
-        Config config;
+        Config config = sim_config();
         config.slack_superblocks = k;
         config.heap_count = nthreads;
 

@@ -40,7 +40,7 @@ main()
                           "global fetches", "sim makespan P=8"});
 
     for (std::size_t s : sizes) {
-        Config config;
+        Config config = sim_config();
         config.superblock_bytes = s;
         config.heap_count = nthreads;
 

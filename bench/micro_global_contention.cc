@@ -181,7 +181,7 @@ struct SimResult
 SimResult
 sim_churn(int nprocs, const ChurnParams& params, double release_threshold)
 {
-    Config config;
+    Config config = sim_config();
     config.heap_count = nprocs;
     config.release_threshold = release_threshold;
     HoardAllocator<SimPolicy> allocator(config);
@@ -224,7 +224,7 @@ double
 native_churn(int nthreads, const ChurnParams& params,
              double release_threshold, std::uint64_t* fetches)
 {
-    Config config;
+    Config config = sim_config();  // magazines would absorb the churn
     config.heap_count = nthreads;
     config.release_threshold = release_threshold;
     HoardAllocator<NativePolicy> allocator(config);
@@ -255,7 +255,7 @@ main(int argc, char** argv)
     ChurnParams params;
     params.rounds = cli.quick ? 6 : 16;
 
-    Config echo;  // the sim cells' config, modulo heap_count and t
+    Config echo = sim_config();  // every cell's, modulo heap_count and t
     metrics::BenchReport report(cli.bench_name, cli.quick);
     report.set_title(
         "micro-global-contention: phase-locked cold-start churn");

@@ -72,7 +72,7 @@ struct CaseResult
 CaseResult
 run_case(int nprocs, const PipeParams& params)
 {
-    Config config;
+    Config config = sim_config();
     config.heap_count = nprocs;
     config.latency_histograms = true;
     config.latency_sample_period = 1;  // exact: every op in the histogram
@@ -178,7 +178,7 @@ main(int argc, char** argv)
         return 0;
     }
 
-    Config echo;
+    Config echo = sim_config();
     metrics::BenchReport report(cli.bench_name, cli.quick);
     report.set_title("micro-prodcons: pipeline throughput");
     report.set_config(echo);

@@ -132,7 +132,7 @@ std::uint64_t
 sim_pingpong(int nprocs, const PingPongParams& params,
              std::uint64_t* remote_frees)
 {
-    Config config;
+    Config config = sim_config();
     config.heap_count = nprocs;
     HoardAllocator<SimPolicy> allocator(config);
 
@@ -163,7 +163,7 @@ sim_pingpong(int nprocs, const PingPongParams& params,
 double
 native_pingpong(const PingPongParams& params)
 {
-    Config config;
+    Config config = sim_config();  // magazines would absorb the frees
     config.heap_count = 2;
     HoardAllocator<NativePolicy> allocator(config);
 
@@ -198,7 +198,7 @@ main(int argc, char** argv)
     params.rounds = cli.quick ? 150 : 600;
     params.batch_blocks = 32;
 
-    Config echo;  // the sim cells' config, modulo heap_count
+    Config echo = sim_config();  // every cell's, modulo heap_count
     metrics::BenchReport report(cli.bench_name, cli.quick);
     report.set_title(
         "micro-remote-free: cross-thread ping-pong free rate");

@@ -138,7 +138,7 @@ main(int argc, char** argv)
         metrics::Table table(
             {"allocator", "mean", "p50", "p90", "p99", "max"});
         for (auto kind : baselines::kAllKinds) {
-            Config config;
+            Config config = sim_config();
             config.heap_count = procs;
             auto allocator =
                 baselines::make_allocator<SimPolicy>(kind, config);
@@ -183,7 +183,7 @@ main(int argc, char** argv)
         std::cout << "# hoard internal per-path latency: skipped "
                      "(HOARD_OBS=OFF build)\n";
     } else {
-        Config config;
+        Config config = sim_config();
         config.heap_count = 8;
         config.latency_histograms = true;
         config.latency_sample_period = 1;

@@ -204,7 +204,7 @@ run_sim(const Options& opt)
     metrics::Table table({"allocator", "makespan (vcycles)",
                           "contended locks", "remote transfers"});
     for (auto kind : selected_kinds(opt)) {
-        Config config;
+        Config config = sim_config();
         config.heap_count = opt.procs;
         auto allocator =
             baselines::make_allocator<SimPolicy>(kind, config);

@@ -7,12 +7,14 @@
  * DESIGN.md) are computed straight from these gauges.
  *
  * The statistics a malloc/free pair bumps (allocs, frees, in_use_bytes,
- * remote_frees) are *sharded*: each OS thread adds into its own
- * cache-line-padded shard and readers fold the shards, so the fast path
- * writes no line another live thread writes, as long as no two live
- * threads share a shard (stat_shard()).  This follows scalloc's rule
- * that every global structure on the allocation path must scale
- * (PAPERS.md).  The slow-path gauges and counters stay single atomics.
+ * remote_frees) are *sharded*: each live OS thread owns a cache-line-
+ * padded shard that no other live thread writes, updates it with a
+ * plain load and store, and readers fold the shards.  Shards are
+ * recycled when threads exit; a thread that finds every owned shard
+ * taken uses the shared overflow shard with atomic read-modify-writes
+ * (stat_shard()).  This follows scalloc's rule that every global
+ * structure on the allocation path must scale (PAPERS.md).  The
+ * slow-path gauges and counters stay single atomics.
  */
 
 #ifndef HOARD_COMMON_STATS_H_
@@ -25,39 +27,50 @@
 
 #include "common/failure.h"
 #include "common/memutil.h"
+#include "common/thread_exit.h"
 
 namespace hoard {
 namespace detail {
 
-/** Shards per sharded statistic (power of two). */
+/**
+ * Shards per sharded statistic (power of two): kStatShards - 1 owned
+ * shards, each written by at most one live OS thread, and the shared
+ * overflow shard kOverflowShard.
+ */
 inline constexpr unsigned kStatShards = 32;
+inline constexpr unsigned kOverflowShard = kStatShards - 1;
 
 /**
- * The calling OS thread's statistic shard.  Threads take shards
- * round-robin on first use and never give them back, so the first
- * kStatShards threads of the process each own one, and any later
- * thread shares the shard of an earlier one whose index is equal mod
- * kStatShards, live or exited (sums stay exact, see ShardedGauge for
- * the peak).  A thread writes a line no other live thread writes only
- * while no two live threads hold such indices.  The index lives in
- * initial-exec TLS: one thread-pointer-relative load even inside
- * libhoard.so, and a first touch that can never call malloc.  It is
- * keyed by OS thread, not Policy::thread_index(): simulator fibers
- * share their host thread and so one shard, which keeps every
- * simulated figure exact.
+ * The calling OS thread's shard plus one, 0 before its first claim.
+ * Initial-exec TLS: one thread-pointer-relative load even inside
+ * libhoard.so, and a first touch that can never call malloc.
+ */
+inline unsigned&
+stat_shard_tls()
+{
+    static thread_local unsigned t_shard
+        __attribute__((tls_model("initial-exec"))) = 0;
+    return t_shard;
+}
+
+/**
+ * The calling OS thread's statistic shard.  A thread claims the first
+ * free owned shard on first use (stat_shard_claim) and releases it from
+ * its exit hook (common/thread_exit.h); a later thread takes it over
+ * with the values it holds, so sums stay exact.  While every owned
+ * shard is taken, and after its own exit hook has run, a thread uses
+ * the overflow shard, which takes atomic read-modify-writes.  Keyed by
+ * OS thread, not Policy::thread_index(): simulator fibers share their
+ * host thread's shard, and a fiber never switches inside an update, so
+ * every simulated figure stays exact.
  */
 inline unsigned
 stat_shard()
 {
-    static thread_local unsigned t_shard
-        __attribute__((tls_model("initial-exec"))) = 0;
-    if (t_shard != 0) [[likely]]
-        return t_shard - 1;
-    static std::atomic<unsigned> next{0};
-    const unsigned shard =
-        next.fetch_add(1, std::memory_order_relaxed) & (kStatShards - 1);
-    t_shard = shard + 1;
-    return shard;
+    const unsigned t = stat_shard_tls();
+    if (t != 0) [[likely]]
+        return t - 1;
+    return stat_shard_claim();
 }
 
 /**
@@ -142,9 +155,10 @@ class Gauge
 };
 
 /**
- * Counter sharded per thread (stat_shard()): add() is a relaxed RMW on
- * the caller's own line, get() folds every shard.  Exact whenever no
- * add() is in flight.
+ * Counter sharded per thread (stat_shard()): add() is a plain load and
+ * store on the caller's owned line (an atomic add on the overflow
+ * shard), get() folds every shard.  Exact whenever no add() is in
+ * flight.
  */
 class ShardedCounter
 {
@@ -152,7 +166,13 @@ class ShardedCounter
     void
     add(std::uint64_t n = 1)
     {
-        slots_[stat_shard()].v.fetch_add(n, std::memory_order_relaxed);
+        const unsigned shard = stat_shard();
+        std::atomic<std::uint64_t>& v = slots_[shard].v;
+        if (shard != kOverflowShard) [[likely]]
+            v.store(v.load(std::memory_order_relaxed) + n,
+                    std::memory_order_relaxed);
+        else
+            v.fetch_add(n, std::memory_order_relaxed);
     }
 
     std::uint64_t
@@ -209,9 +229,10 @@ class ShardedCounter
  *    base + p <= base + h <= recorded, so peak() >= base(t) =
  *    L(t) - sum p(t) > P - n*T at the peak time t; and every candidate
  *    and the read term exceed a level the gauge really held by less
- *    than one T per shard.  Threads sharing a shard (more than
- *    kStatShards threads) merge into one update stream: current()
- *    stays exact and the bound counts the shard once.
+ *    than one T per shard.  Threads that use one shard in turn (a
+ *    recycled owned shard) or at once (the overflow shard) merge into
+ *    one update stream: current() stays exact and the bound counts the
+ *    shard once.
  */
 class ShardedGauge
 {
@@ -274,10 +295,34 @@ class ShardedGauge
         std::atomic<std::int64_t> high{0};
     };
 
+    /** Owned shards inline: this thread is the shard's only writer. */
     void
     move(std::int64_t delta)
     {
-        Shard& s = shards_[stat_shard()];
+        const unsigned shard = stat_shard();
+        if (shard == kOverflowShard) [[unlikely]] {
+            move_shared(delta);
+            return;
+        }
+        Shard& s = shards_[shard];
+        const std::int64_t p =
+            s.pending.load(std::memory_order_relaxed) + delta;
+        s.pending.store(p, std::memory_order_relaxed);
+        const std::int64_t high = s.high.load(std::memory_order_relaxed);
+        if (p > high) {
+            s.high.store(p, std::memory_order_relaxed);
+            if (p >= kFlushBytes) [[unlikely]]
+                flush(s);
+        } else if (p <= high - kFlushBytes) [[unlikely]] {
+            flush(s);
+        }
+    }
+
+    /** The overflow shard, which several threads may share. */
+    __attribute__((noinline)) void
+    move_shared(std::int64_t delta)
+    {
+        Shard& s = shards_[kOverflowShard];
         const std::int64_t p =
             s.pending.fetch_add(delta, std::memory_order_relaxed) + delta;
         std::int64_t high = s.high.load(std::memory_order_relaxed);
@@ -285,11 +330,11 @@ class ShardedGauge
                !s.high.compare_exchange_weak(high, p,
                                              std::memory_order_relaxed)) {
         }
-        if (p >= kFlushBytes || p <= high - kFlushBytes) [[unlikely]]
+        if (p >= kFlushBytes || p <= high - kFlushBytes)
             flush(s);
     }
 
-    void
+    __attribute__((noinline)) void
     flush(Shard& s)
     {
         const std::int64_t take =

@@ -2,14 +2,22 @@
  * @file
  * Tunable parameters of the Hoard allocator (paper §3).
  *
- * Defaults reproduce the paper's configuration: S = 8 KiB superblocks,
- * empty fraction f = 1/4, slack K = 0, geometric size classes with base
- * b = 1.2.  The paper's parameters (S, f, K, t), the global fetch batch
- * and the magazine sizes each have an ablation bench (bench/abl_*.cc,
- * DESIGN.md §6), and macro_rss compares the purge pass against
- * retention.  The observability, profiler, latency and hardening knobs
- * are not swept: they gate instrumentation and checks, and
- * micro_obs_overhead prices them.
+ * The defaults describe the allocator as it ships (the facade and the
+ * LD_PRELOAD shim build a default Config, changing only heap_count and
+ * the HOARD_* knobs).  They keep the paper's S = 8 KiB superblocks,
+ * empty fraction f = 1/4 and geometric size classes with base b = 1.2,
+ * and depart from the paper in four places, each documented at its
+ * field: slack K = 8 (the paper's is 0), release threshold t = 1 (the
+ * paper transfers at f), a global fetch batch of 4 (the paper fetches
+ * one superblock), and 16-block thread magazines (the paper has none).
+ * The simulator suite reproduces the paper's figures, whose Hoard has
+ * no thread caches, so it builds sim_config(), which turns the
+ * magazines off.  The paper's parameters
+ * (S, f, K, t), the global fetch batch and the magazine sizes each
+ * have an ablation bench (bench/abl_*.cc, DESIGN.md §6), and macro_rss
+ * compares the purge pass against retention.  The observability,
+ * profiler, latency and hardening knobs are not swept: they gate
+ * instrumentation and checks, and micro_obs_overhead prices them.
  */
 
 #ifndef HOARD_CORE_CONFIG_H_
@@ -104,17 +112,23 @@ struct Config
     std::size_t global_fetch_batch = 4;
 
     /**
-     * Extension (not in the paper; the direction later allocators —
-     * Hoard 3.x, tcmalloc — took): per-logical-thread block caches in
-     * front of the heaps.  A freed block parks in the freeing thread's
-     * cache and the next allocation of that class pops it without
-     * touching any heap.  Value = blocks cached per size class per
-     * thread slot; 0 disables (the default, keeping the measured system
-     * the paper's).  Caches are bounded (this many blocks per class)
-     * and flushed to the owning heaps on overflow, so blowup gains only
-     * a constant.  ABL-cache quantifies the effect.
+     * Thread magazines, an extension the paper does not have (the
+     * direction later allocators — Hoard 3.x, tcmalloc — took): each
+     * logical thread parks up to this many free blocks per size class
+     * in front of the heaps, and a hit on malloc or free takes no lock
+     * and writes only lines its own thread owns.  Refills and spills
+     * move thread_cache_batch blocks under one heap-lock acquisition,
+     * so blowup gains only a constant.  0 turns them off.
+     *
+     * The default, 16, is what the facade and the shim ship.  The
+     * trade-off: a block thread B frees from thread A's heap parks in
+     * B's magazine and is handed back to B, so for up to 16 blocks per
+     * class per thread the paper's passive-false-sharing avoidance (a
+     * freed block returns to its owner heap) is given up.  0 restores
+     * the paper's free path; sim_config() pins it for the simulator
+     * suite.  ABL-cache sweeps the axis.
      */
-    std::uint32_t thread_cache_blocks = 0;
+    std::uint32_t thread_cache_blocks = 16;
 
     /**
      * Blocks moved per magazine refill/flush transfer (the N of the
@@ -287,14 +301,17 @@ struct Config
 
     /**
      * Validate pointers handed to deallocate() before touching any heap
-     * structure: superblock magic, owning-arena id, block alignment
-     * against the size class, and a bounded double-free probe.  The
+     * structure: the mapped hull, superblock magic and owning-arena id
+     * (one tag compare), the span's free window (carved blocks only,
+     * closed while the span sits in the reuse cache), and a bounded
+     * double-free probe under the owner's lock.  The
      * check is a handful of reads on memory free() touches anyway
      * (micro_obs_overhead gates the cost below 2%); disabling it
      * restores the trusting paper-mode free path, where a hostile
-     * pointer corrupts heaps instead of being reported.  Pointers
-     * parked in thread magazines are trusted either way — the magazine
-     * fast path stays lock- and check-free.
+     * pointer corrupts heaps instead of being reported.  A free into a
+     * thread magazine gets the same checks plus an O(1) double-free
+     * probe against the magazine's head; blocks handed back out of a
+     * magazine are trusted.
      */
     bool hardened_free = true;
 
@@ -304,6 +321,20 @@ struct Config
     /** Aborts with HOARD_FATAL on any out-of-range parameter. */
     void validate() const;
 };
+
+/**
+ * The configuration the simulator suite measures: the defaults with
+ * thread magazines off, because the paper's Hoard has none.  Every
+ * paper figure, table and ablation builds its Hoard from this, so the
+ * virtual-cycle metrics do not move with the shipped magazine default.
+ */
+inline Config
+sim_config()
+{
+    Config config;
+    config.thread_cache_blocks = 0;
+    return config;
+}
 
 }  // namespace hoard
 

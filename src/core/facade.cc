@@ -12,6 +12,7 @@
 
 #include "common/env.h"
 #include "common/mathutil.h"
+#include "common/thread_exit.h"
 #include "obs/trace_export.h"
 
 namespace hoard {
@@ -227,6 +228,7 @@ fork_child()
 {
     global_allocator().child_after_fork();
     detail::magazine_registry_child_after_fork();
+    detail::stat_shards_child_after_fork();
 }
 
 }  // namespace

@@ -31,9 +31,10 @@
  * the virtual-time multiprocessor that regenerates the paper's figures.
  *
  * Fast path (extension over the paper, see docs/ARCHITECTURE.md): with
- * Config::thread_cache_blocks > 0 each logical thread keeps per-class
- * *magazines* of free blocks (magazine.h).  malloc/free on a warm
- * magazine is lock-free; magazines refill and spill in batches of
+ * Config::thread_cache_blocks > 0 (the shipped default is 16) each
+ * logical thread keeps per-class *magazines* of free blocks
+ * (magazine.h).  malloc/free on a warm magazine takes no lock and makes
+ * no atomic read-modify-write; magazines refill and spill in batches of
  * Config::thread_cache_batch blocks under a single heap-lock
  * acquisition, and the cached-bytes gauge is synced once per batch.
  * Each heap additionally owns a lock-free MPSC remote-free queue: a
@@ -43,14 +44,14 @@
  *
  * Statistics: the counters every malloc/free bumps (allocs, frees,
  * in_use_bytes, remote_frees) are per-thread shards (common/stats.h).
- * While no two live threads hold shard indices that are equal mod
- * kStatShards (32), a magazine hit writes only lines its own thread
- * writes, and a locked small-object operation writes no shared line
- * beyond its heap's.  Indices are handed out round-robin and never
- * recycled, so a process that keeps creating threads wraps past 32
- * and can put a new thread on a live thread's shard; the two then
- * share that line again (the sums stay exact).  Only the slow paths
- * (fetch, transfer, map, purge) move shared gauges.
+ * Each live OS thread owns one that no other live thread writes and
+ * updates it with plain loads and stores, so a magazine hit writes only
+ * lines its own thread owns, and a locked small-object operation
+ * writes no shared line beyond its heap's.  Exited threads' shards are
+ * recycled; only while more than kStatShards - 1 threads are alive do
+ * the latecomers share an overflow shard, with atomic read-modify-
+ * writes.  Only the slow paths (fetch, transfer, map, purge) move
+ * shared gauges.
  *
  * Huge objects map their own span, but first give back the reuse
  * cache's surplus empty superblocks, up to the span's size, so a
@@ -203,8 +204,10 @@ class HoardAllocator final : public Allocator
     {
         // Unregister first: it blocks until any in-flight thread-exit
         // flush drains, and afterwards no exit hook will call back
-        // into this allocator.  Surviving threads' stale nodes are
-        // freed by their own exit hooks (the dead id skips the flush).
+        // into this allocator.  Surviving threads' nodes for it stay
+        // on their chains until the thread next registers a node with
+        // an allocator or exits; either parks them for reuse (the dead
+        // id skips the flush).
         detail::magazine_unregister_allocator(magazine_id_);
         release_everything();
     }
@@ -243,7 +246,7 @@ class HoardAllocator final : public Allocator
             return;
         Policy::work(CostKind::free_base);
         Superblock* sb;
-        if (config_.hardened_free) {
+        if (config_.hardened_free) [[likely]] {
             sb = resolve_for_free(p);
             if (sb == nullptr)
                 return;  // rejected and reported (warn policy leaks it)
@@ -275,11 +278,24 @@ class HoardAllocator final : public Allocator
         // sb must not be dereferenced again.
         const std::size_t block_bytes = sb->block_bytes();
         if (detail::MagazineNode* node = my_magazines()) {
-            // Magazine blocks are trusted on re-allocation, so the
-            // gauges settle up front as usual.
-            stats_.frees.add();
-            stats_.in_use_bytes.sub(block_bytes);
-            magazine_push(node, sb, p);
+            void* block = sb->block_start(p);
+            const int cls = sb->size_class();
+            // A block that already heads its class's magazine was
+            // freed twice since it was last handed out; parking it
+            // again would link it to itself.  As strong as the locked
+            // path's free-list-head probe, and checked before any
+            // gauge moves.
+            if (config_.hardened_free &&
+                block == node->mags[static_cast<std::size_t>(cls)].head)
+                [[unlikely]] {
+                report_bad_free(stats_.bad_free_double, "double", p, cls);
+            } else {
+                // Magazine blocks are trusted on re-allocation, so the
+                // gauges settle up front.
+                stats_.frees.add();
+                stats_.in_use_bytes.sub(block_bytes);
+                magazine_push(node, sb, cls, block);
+            }
         } else if (free_block(sb, p)) {
             // Gauges settle only after the locked path accepted the
             // block: the under-lock double-free probe may still reject
@@ -1019,11 +1035,12 @@ class HoardAllocator final : public Allocator
 
     /**
      * The calling logical thread's magazine node for this allocator,
-     * or nullptr when caching is disabled or malloc refused the
-     * metadata (the caller then falls through to the locked path).
-     * The fast path is one TLS-slot read plus a short chain walk kept
-     * effectively O(1) by move-to-front: a thread touching one
-     * allocator — the common case — matches on the first node.
+     * or nullptr when caching is disabled, the thread's exit hook has
+     * already run, or malloc refused the metadata (the caller then
+     * falls through to the locked path).  The fast path is one TLS-slot
+     * read plus a short chain walk kept effectively O(1) by move-to-
+     * front: a thread touching one allocator — the common case —
+     * matches on the first node.
      */
     detail::MagazineNode*
     my_magazines()
@@ -1031,33 +1048,34 @@ class HoardAllocator final : public Allocator
         if (magazine_id_ == 0)
             return nullptr;
         void*& slot = Policy::thread_cache_slot();
-        auto* root = static_cast<detail::MagazineRoot*>(slot);
-        if (root == nullptr) {
-            root = detail::magazine_root_new();
-            if (root == nullptr)
-                return nullptr;
-            slot = root;
-        }
+        auto* first = static_cast<detail::MagazineNode*>(slot);
         detail::MagazineNode* prev = nullptr;
-        for (detail::MagazineNode* node = root->nodes; node != nullptr;
+        for (detail::MagazineNode* node = first; node != nullptr;
              prev = node, node = node->next_in_thread) {
             if (node->allocator_id != magazine_id_)
                 continue;
             if (prev != nullptr) {  // move-to-front
                 prev->next_in_thread = node->next_in_thread;
-                node->next_in_thread = root->nodes;
-                root->nodes = node;
+                node->next_in_thread = first;
+                slot = node;
             }
             return node;
         }
-        return register_thread_node(root);
+        return register_thread_node(slot);
     }
 
     /** Cold path of my_magazines(): creates and links this thread's
-        node for this allocator (thread chain + allocator set). */
-    detail::MagazineNode*
-    register_thread_node(detail::MagazineRoot* root)
+        node for this allocator (thread chain + allocator set), unless
+        the thread has already run its exit hook.  First parks the
+        chain's nodes of destroyed allocators, so a thread that keeps
+        creating and destroying allocators keeps a short chain. */
+    __attribute__((noinline)) detail::MagazineNode*
+    register_thread_node(void*& slot)
     {
+        if (!Policy::arm_thread_exit_hook())
+            return nullptr;
+        slot = detail::magazine_drop_dead(
+            static_cast<detail::MagazineNode*>(slot));
         detail::MagazineNode* node = detail::magazine_node_new(
             static_cast<std::uint32_t>(classes_.count()));
         if (node == nullptr)
@@ -1065,8 +1083,8 @@ class HoardAllocator final : public Allocator
         node->allocator = this;
         node->allocator_id = magazine_id_;
         node->flush_fn = &HoardAllocator::exit_flush_node;
-        node->next_in_thread = root->nodes;
-        root->nodes = node;
+        node->next_in_thread = static_cast<detail::MagazineNode*>(slot);
+        slot = node;
         {
             std::lock_guard<typename Policy::Mutex> guard(cache_mutex_);
             node->next_in_set = cache_nodes_;
@@ -1089,10 +1107,11 @@ class HoardAllocator final : public Allocator
 
     /**
      * Pops a block from the calling thread's magazine: two pointer
-     * moves and one relaxed occupancy update — no lock, no shared-
-     * gauge write.  An empty magazine refills one batch under a single
-     * heap-lock acquisition; nullptr means the OS refused memory and
-     * the caller takes the reclaiming slow path.
+     * moves and one owner-only occupancy update — no lock, no atomic
+     * read-modify-write, no shared-gauge write.  An empty magazine
+     * refills one batch under a single heap-lock acquisition; nullptr
+     * means the OS refused memory and the caller takes the reclaiming
+     * slow path.
      */
     void*
     magazine_pop(detail::MagazineNode* node, int cls)
@@ -1111,8 +1130,8 @@ class HoardAllocator final : public Allocator
         return magazine_pop_take(node, mag, cls);
     }
 
-    /** The magazine-hit pop tail: two pointer moves and one relaxed
-        occupancy update — no lock, no shared-gauge write. */
+    /** The magazine-hit pop tail: two pointer moves and one owner-
+        only occupancy update — no lock, no shared-gauge write. */
     void*
     magazine_pop_take(detail::MagazineNode* node,
                       detail::MagazineNode::Magazine& mag, int cls)
@@ -1121,8 +1140,7 @@ class HoardAllocator final : public Allocator
         Policy::touch(block, sizeof(void*), false);
         mag.head = *static_cast<void**>(block);
         --mag.count;
-        node->occupancy_bytes.fetch_sub(classes_.block_size(cls),
-                                        std::memory_order_relaxed);
+        node->occupancy_sub(classes_.block_size(cls));
         return block;
     }
 
@@ -1172,15 +1190,14 @@ class HoardAllocator final : public Allocator
     }
 
     /**
-     * Parks the (whole, free) block containing @p p in the calling
+     * Parks the (whole, free) @p block of class @p cls in the calling
      * thread's magazine; a full magazine first spills one batch back
      * to the owning heaps through the bulk-return path.
      */
     void
-    magazine_push(detail::MagazineNode* node, Superblock* sb, void* p)
+    magazine_push(detail::MagazineNode* node, Superblock* sb, int cls,
+                  void* block)
     {
-        void* block = sb->block_start(p);
-        int cls = sb->size_class();
         auto& mag = node->mags[static_cast<std::size_t>(cls)];
         if (mag.count >= config_.thread_cache_blocks) [[unlikely]] {
             magazine_push_spill(node, sb, cls, block);
@@ -1205,8 +1222,7 @@ class HoardAllocator final : public Allocator
         *static_cast<void**>(block) = mag.head;
         mag.head = block;
         ++mag.count;
-        node->occupancy_bytes.fetch_add(sb->block_bytes(),
-                                        std::memory_order_relaxed);
+        node->occupancy_add(sb->block_bytes());
     }
 
     /** A sampled magazine park (free fast path).  noinline: see
@@ -1312,9 +1328,7 @@ class HoardAllocator final : public Allocator
         HOARD_DCHECK(mag.head == nullptr && mag.count == 0);
         mag.head = chain;
         mag.count = got;
-        node->occupancy_bytes.fetch_add(
-            static_cast<std::size_t>(got) * block_bytes,
-            std::memory_order_relaxed);
+        node->occupancy_add(static_cast<std::size_t>(got) * block_bytes);
         sync_node_gauge(node);
         stats_.batch_refills.add();
         record_event(obs::EventKind::batch_refill, heap.index, cls,
@@ -1344,9 +1358,8 @@ class HoardAllocator final : public Allocator
         mag.head = *static_cast<void**>(tail);
         *static_cast<void**>(tail) = nullptr;
         mag.count -= n;
-        node->occupancy_bytes.fetch_sub(
-            static_cast<std::size_t>(n) * classes_.block_size(cls),
-            std::memory_order_relaxed);
+        node->occupancy_sub(static_cast<std::size_t>(n) *
+                            classes_.block_size(cls));
         sync_node_gauge(node);
         stats_.batch_flushes.add();
         record_event(obs::EventKind::batch_flush, my_heap_index(), cls,
@@ -1381,8 +1394,7 @@ class HoardAllocator final : public Allocator
             }
             mag.count = 0;
         }
-        node->occupancy_bytes.fetch_sub(bytes,
-                                        std::memory_order_relaxed);
+        node->occupancy_sub(bytes);
         sync_node_gauge(node);
         if (blocks != 0) {
             stats_.batch_flushes.add();
@@ -2105,21 +2117,25 @@ class HoardAllocator final : public Allocator
      *     pointer crossing threads implies an app-level happens-before
      *     edge that publishes the bound stores sequenced before
      *     allocate() returned it, so a valid free never false-fires.
-     *  2. header magic mismatch -> wild (not a superblock).
-     *  3. arena-id mismatch -> foreign (another allocator's span).
-     *  4. huge: anything but the exact pointer handed out -> interior.
-     *  5. small: an implausible class/block-size pairing -> foreign
-     *     (reformatted foreign span); outside the carved payload ->
-     *     interior (header or tail remainder); a cleared owner means
-     *     the superblock sits empty in the reuse cache, so the block
-     *     was already freed -> double.
+     *  2. header tag: one compare of the magic word and arena id
+     *     against this allocator's; on a mismatch, a wrong magic ->
+     *     wild (not a superblock), else -> foreign (another
+     *     allocator's span).
+     *  3. free window (Superblock::in_free_window): one compare.  A
+     *     miss on a huge span is anything but the exact pointer handed
+     *     out -> interior; on a small one, outside the carved payload
+     *     -> interior (header or tail remainder), else the window is
+     *     closed because the span sits empty in the reuse cache, so
+     *     the block was already freed -> double.
      *
      * A pointer *interior to a block* is legitimate (aligned
      * allocations hand those out) and passes; only pointers no
-     * allocation path can have produced are rejected.  Blocks parked
-     * in thread magazines are re-handed out without these checks, and
-     * the remote-free path skips the under-lock double probe — the
-     * hardening is best-effort by design (docs/SHIM.md).
+     * allocation path can have produced are rejected.  A free into a
+     * magazine adds an O(1) double probe against the magazine's head
+     * (deallocate); blocks parked in thread magazines are re-handed out
+     * without these checks, and the remote-free path skips the
+     * under-lock double probe — the hardening is best-effort by design
+     * (docs/SHIM.md).
      *
      * always_inline: this is deallocate's hot prefix under the
      * default hardened_free, and the accept path is a handful of
@@ -2136,42 +2152,45 @@ class HoardAllocator final : public Allocator
             addr >= mapped_hi_.load(std::memory_order_relaxed)) {
             return report_bad_free(stats_.bad_free_wild, "wild", p, -1);
         }
-        Superblock* sb = Superblock::from_pointer_checked(
-            p, config_.superblock_bytes);
+        auto* sb = reinterpret_cast<Superblock*>(
+            detail::align_down(addr, config_.superblock_bytes));
+        if (sb->tag() != header_tag_) [[unlikely]]
+            return reject_header(p);
+        if (!sb->in_free_window(addr)) [[unlikely]]
+            return reject_window(sb, p);
+        return sb;
+    }
+
+    /** Probe 2's mismatch: a span that is not a superblock (wild), or
+        another allocator's (foreign).  Cold, like report_bad_free. */
+    __attribute__((noinline, cold)) Superblock*
+    reject_header(void* p)
+    {
+        const Superblock* sb =
+            Superblock::from_pointer_checked(p, config_.superblock_bytes);
         if (sb == nullptr)
             return report_bad_free(stats_.bad_free_wild, "wild", p, -1);
-        if (sb->arena() != arena_id_) {
-            return report_bad_free(stats_.bad_free_foreign, "foreign",
+        return report_bad_free(stats_.bad_free_foreign, "foreign", p,
+                               sb->size_class());
+    }
+
+    /** Probe 3's miss, classified.  Cold, like report_bad_free. */
+    __attribute__((noinline, cold)) Superblock*
+    reject_window(const Superblock* sb, void* p)
+    {
+        if (sb->huge()) {
+            return report_bad_free(stats_.bad_free_interior, "interior",
+                                   p, SizeClasses::kHuge);
+        }
+        auto addr = reinterpret_cast<std::uintptr_t>(p);
+        auto base = reinterpret_cast<std::uintptr_t>(sb->payload_begin());
+        if (addr - base >=
+            static_cast<std::size_t>(sb->capacity()) * sb->block_bytes()) {
+            return report_bad_free(stats_.bad_free_interior, "interior",
                                    p, sb->size_class());
         }
-        if (sb->huge()) {
-            std::size_t offset =
-                sb->span_bytes() - sb->huge_user_bytes();
-            if (addr != reinterpret_cast<std::uintptr_t>(sb) + offset) {
-                return report_bad_free(stats_.bad_free_interior,
-                                       "interior", p,
-                                       SizeClasses::kHuge);
-            }
-            return sb;
-        }
-        int cls = sb->size_class();
-        if (cls < 0 || cls >= classes_.count() ||
-            sb->block_bytes() != classes_.block_size(cls)) {
-            return report_bad_free(stats_.bad_free_foreign, "foreign",
-                                   p, cls);
-        }
-        auto base = reinterpret_cast<std::uintptr_t>(sb->payload_begin());
-        if (addr < base ||
-            addr >= base + static_cast<std::size_t>(sb->capacity()) *
-                               sb->block_bytes()) {
-            return report_bad_free(stats_.bad_free_interior, "interior",
-                                   p, cls);
-        }
-        if (sb->owner() == nullptr) {
-            return report_bad_free(stats_.bad_free_double, "double", p,
-                                   cls);
-        }
-        return sb;
+        return report_bad_free(stats_.bad_free_double, "double", p,
+                               sb->size_class());
     }
 
     /**
@@ -2533,10 +2552,15 @@ class HoardAllocator final : public Allocator
             arena_id_);
     }
 
-    /** Hands ownership of unowned @p sb to @p heap. Caller holds lock. */
+    /** Hands ownership of @p sb — fresh, from the reuse cache, or from
+        a global bin — to @p heap.  Caller holds lock. */
     void
     adopt(Heap& heap, Superblock* sb)
     {
+        // Fresh and reuse-cache spans have no owner and no live block;
+        // a bin's span keeps its open window (its blocks may be live).
+        if (sb->owner() == nullptr)
+            sb->open_free_window();
         sb->set_owner(static_cast<Base*>(&heap));
         heap.held += sb->span_bytes();
         heap.in_use += sb->used_bytes();
@@ -2546,8 +2570,9 @@ class HoardAllocator final : public Allocator
     /**
      * Retires unlinked, completely-empty @p sb: pushed onto the
      * lock-free reuse cache, or unmapped when the cache is over its
-     * limit.  The owner is cleared first — safe because an empty
-     * superblock has no escaped blocks, so no free can race the store.
+     * limit.  The owner is cleared and the free window closed first —
+     * safe because an empty superblock has no escaped blocks, so no
+     * valid free can race the stores.
      * Callers hold no particular lock (the push is lock-free).
      */
     void
@@ -2558,6 +2583,7 @@ class HoardAllocator final : public Allocator
             return;
         }
         sb->set_owner(nullptr);
+        sb->close_free_window();
         if (purge_armed_)
             sb->set_retire_tick(Policy::timestamp());
         // Capture event fields before the push publishes the
@@ -2978,6 +3004,9 @@ class HoardAllocator final : public Allocator
     /// Identity stamped into every superblock this instance formats
     /// (the hardened free path's foreign-span check).
     const std::uint32_t arena_id_ = detail::next_arena_id();
+    /// Superblock::tag_for(arena_id_): what the hardened free path
+    /// expects to find in a header this instance formatted.
+    const std::uint64_t header_tag_ = Superblock::tag_for(arena_id_);
     /// Sampling heap profiler; non-null only when
     /// Config::profile_sample_rate > 0 (see profile_alloc).  Declared
     /// among the read-mostly members every allocation touches so the

@@ -1,5 +1,6 @@
 #include "core/magazine.h"
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdlib>
 #include <mutex>
@@ -20,8 +21,8 @@ struct LiveRec
 /**
  * Registry state.  The mutex and condition variable are leaked-immortal
  * (function-local statics, never destroyed) so exit hooks running
- * during process teardown — thread_local destructors can outlive every
- * other static — always find them alive.
+ * during process teardown — a thread may still be exiting after every
+ * other static is gone — always find them alive.
  *
  * Critical sections under this mutex are pointer-ops only: a flush_fn
  * call takes policy mutexes, and under SimPolicy a policy mutex can
@@ -47,6 +48,12 @@ registry_cv()
 LiveRec* g_live = nullptr;
 std::uint64_t g_next_id = 1;
 
+/// Nodes of exited threads, chained through next_in_thread; reused by
+/// magazine_node_new, never freed.
+MagazineNode* g_spare_nodes = nullptr;
+
+std::atomic<std::size_t> g_nodes_malloced{0};
+
 LiveRec*
 find_locked(std::uint64_t id)
 {
@@ -62,14 +69,28 @@ find_locked(std::uint64_t id)
 MagazineNode*
 magazine_node_new(std::uint32_t num_classes)
 {
-    // One chunk: node header followed by the magazine array.  Plain
-    // malloc, not operator new — see the header's memory discipline.
-    std::size_t bytes = sizeof(MagazineNode) +
-                        static_cast<std::size_t>(num_classes) *
-                            sizeof(MagazineNode::Magazine);
-    void* mem = std::malloc(bytes);
-    if (mem == nullptr)
-        return nullptr;
+    void* mem = nullptr;
+    {
+        std::lock_guard<std::mutex> guard(registry_mutex());
+        for (MagazineNode** p = &g_spare_nodes; *p != nullptr;
+             p = &(*p)->next_in_thread) {
+            if ((*p)->num_classes == num_classes) {
+                mem = *p;
+                *p = (*p)->next_in_thread;
+                break;
+            }
+        }
+    }
+    if (mem == nullptr) {
+        // One chunk: node header followed by the magazine array.  Plain
+        // malloc, not operator new — see the header's memory discipline.
+        mem = std::malloc(sizeof(MagazineNode) +
+                          static_cast<std::size_t>(num_classes) *
+                              sizeof(MagazineNode::Magazine));
+        if (mem == nullptr)
+            return nullptr;
+        g_nodes_malloced.fetch_add(1, std::memory_order_relaxed);
+    }
     auto* node = new (mem) MagazineNode();
     node->num_classes = num_classes;
     node->mags = reinterpret_cast<MagazineNode::Magazine*>(node + 1);
@@ -78,13 +99,27 @@ magazine_node_new(std::uint32_t num_classes)
     return node;
 }
 
-MagazineRoot*
-magazine_root_new()
+std::size_t
+magazine_nodes_malloced()
 {
-    void* mem = std::malloc(sizeof(MagazineRoot));
-    if (mem == nullptr)
-        return nullptr;
-    return new (mem) MagazineRoot();
+    return g_nodes_malloced.load(std::memory_order_relaxed);
+}
+
+MagazineNode*
+magazine_drop_dead(MagazineNode* first)
+{
+    std::lock_guard<std::mutex> guard(registry_mutex());
+    MagazineNode** link = &first;
+    while (MagazineNode* node = *link) {
+        if (find_locked(node->allocator_id) != nullptr) {
+            link = &node->next_in_thread;
+            continue;
+        }
+        *link = node->next_in_thread;
+        node->next_in_thread = g_spare_nodes;
+        g_spare_nodes = node;
+    }
+    return first;
 }
 
 std::uint64_t
@@ -148,13 +183,15 @@ magazine_registry_child_after_fork()
 }
 
 void
-magazine_thread_exit(void* root_ptr)
+magazine_thread_exit(void* first_node)
 {
-    if (root_ptr == nullptr)
+    auto* first = static_cast<MagazineNode*>(first_node);
+    if (first == nullptr)
         return;
-    auto* root = static_cast<MagazineRoot*>(root_ptr);
-    for (MagazineNode* node = root->nodes; node != nullptr;
+    MagazineNode* last = nullptr;
+    for (MagazineNode* node = first; node != nullptr;
          node = node->next_in_thread) {
+        last = node;
         if (node->flush_fn == nullptr)
             continue;
         LiveRec* rec;
@@ -162,7 +199,7 @@ magazine_thread_exit(void* root_ptr)
             std::lock_guard<std::mutex> guard(registry_mutex());
             rec = find_locked(node->allocator_id);
             if (rec == nullptr)
-                continue;  // allocator already destroyed; just free
+                continue;  // allocator already destroyed; just recycle
             ++rec->busy;
         }
         // The pin (busy > 0) is what keeps `node->allocator` alive
@@ -174,13 +211,9 @@ magazine_thread_exit(void* root_ptr)
         }
         registry_cv().notify_all();
     }
-    MagazineNode* node = root->nodes;
-    while (node != nullptr) {
-        MagazineNode* next = node->next_in_thread;
-        std::free(node);
-        node = next;
-    }
-    std::free(root);
+    std::lock_guard<std::mutex> guard(registry_mutex());
+    last->next_in_thread = g_spare_nodes;
+    g_spare_nodes = first;
 }
 
 }  // namespace detail

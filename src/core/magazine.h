@@ -16,13 +16,19 @@
  * sim, the uninstrumented bench policy) shares one chain format and
  * one exit hook.
  *
- * Memory discipline: nodes and roots are std::malloc'd, never operator
- * new'd — in whole-process deployments (global_new.h) operator new is
- * the allocator under construction, and registering a magazine from
- * inside allocate() must not recurse into it.  A node is freed only by
- * its owning thread's exit hook; other threads may empty a node's
- * lists (quiesced flush) but never free it, so the fast path needs no
- * lifetime synchronization.
+ * Memory discipline: nodes are std::malloc'd, never operator new'd —
+ * in whole-process deployments (global_new.h) operator new is the
+ * allocator under construction, and registering a magazine from inside
+ * allocate() must not recurse into it.  A node leaves its thread's
+ * chain only by the thread's own hand — at its exit hook, or, for a
+ * node whose allocator has been destroyed, when the thread next
+ * registers a node (magazine_drop_dead) — and goes to a process-wide
+ * free list for the next magazine_node_new; other threads may empty a
+ * node's lists (quiesced flush) but never recycle it, so the fast path
+ * needs no lifetime synchronization.  Nodes are recycled
+ * rather than freed because under the LD_PRELOAD shim they are carved
+ * from the never-reused bootstrap arena (docs/SHIM.md): freeing them
+ * would leak one node per thread ever created.
  *
  * Lock order (the only multi-lock paths in the allocator):
  *   allocator cache-set mutex -> heap locks -> global-heap lock.
@@ -52,11 +58,12 @@ namespace detail {
  *
  * Single-writer: only the owning logical thread touches `mags` and
  * `synced_bytes` on the fast path.  `occupancy_bytes` is the one field
- * other threads read (snapshot/sampler cached-bytes attribution); it is
- * updated per operation with relaxed stores and is exact whenever the
- * owner is quiesced.  The global cached_bytes gauge is synced to it
- * only at batch boundaries — that is the "statistics move to batch
- * boundaries" half of the fast path.
+ * other threads read (snapshot/sampler cached-bytes attribution); the
+ * owner updates it per operation with a relaxed load and store, and
+ * other threads write it only while the owner is quiesced, so it is
+ * exact whenever the owner is.  The global cached_bytes gauge is synced
+ * to it only at batch boundaries — that is the "statistics move to
+ * batch boundaries" half of the fast path.
  */
 struct MagazineNode
 {
@@ -82,11 +89,29 @@ struct MagazineNode
      */
     void (*flush_fn)(void* allocator, MagazineNode* node) = nullptr;
 
-    MagazineNode* next_in_thread = nullptr;  ///< per-thread root chain
+    MagazineNode* next_in_thread = nullptr;  ///< per-thread chain
     MagazineNode* next_in_set = nullptr;     ///< per-allocator chain
 
     /** Exact bytes parked across all classes (relaxed; see above). */
     std::atomic<std::size_t> occupancy_bytes{0};
+
+    /** Moves occupancy_bytes by a plain load and store: its writer is
+        the owner, or a flusher while the owner is quiesced. */
+    void
+    occupancy_add(std::size_t n)
+    {
+        occupancy_bytes.store(
+            occupancy_bytes.load(std::memory_order_relaxed) + n,
+            std::memory_order_relaxed);
+    }
+
+    void
+    occupancy_sub(std::size_t n)
+    {
+        occupancy_bytes.store(
+            occupancy_bytes.load(std::memory_order_relaxed) - n,
+            std::memory_order_relaxed);
+    }
 
     /** Portion already reflected in the global cached_bytes gauge.
         Touched only at batch boundaries, by the owner (or a quiesced
@@ -111,19 +136,25 @@ struct MagazineNode
     Magazine* mags = nullptr;
 };
 
-/** What a logical thread's cache slot points at: its node chain. */
-struct MagazineRoot
-{
-    MagazineNode* nodes = nullptr;
-};
-
-/** mallocs a node with space for @p num_classes magazines (zeroed);
-    returns nullptr on malloc failure (caching then silently degrades
-    to the uncached path for this thread). */
+/** A node with space for @p num_classes magazines (empty), recycled
+    from an exited thread when one fits, else std::malloc'd; nullptr on
+    malloc failure (caching then silently degrades to the uncached path
+    for this thread).  A logical thread's cache slot points at the
+    first node of its chain. */
 MagazineNode* magazine_node_new(std::uint32_t num_classes);
 
-/** mallocs an empty root, or nullptr. */
-MagazineRoot* magazine_root_new();
+/** Nodes magazine_node_new has std::malloc'd so far in this process,
+    rather than recycled (tests check thread churn reuses them). */
+std::size_t magazine_nodes_malloced();
+
+/**
+ * Unlinks from the thread chain starting at @p first every node whose
+ * allocator has been destroyed, parks those nodes for reuse, and
+ * returns the chain's new first node.  Only the chain's owning logical
+ * thread may call it: nothing else reaches a dead allocator's node
+ * once the allocator's destructor has returned.
+ */
+MagazineNode* magazine_drop_dead(MagazineNode* first);
 
 /// @name Allocator liveness registry.
 /// Serializes thread-exit flushes against allocator destruction: the
@@ -165,12 +196,12 @@ void magazine_registry_child_after_fork();
 
 /**
  * The thread-exit hook both execution policies invoke with a thread's
- * non-null cache slot: flushes every node whose allocator is still
- * live (via node->flush_fn, under the registry mutex), then frees the
- * nodes and the root.  Signature matches
+ * non-null cache slot (its first node): flushes every node whose
+ * allocator is still live (via node->flush_fn, under the registry
+ * mutex), then parks the nodes for reuse.  Signature matches
  * Policy::set_thread_exit_hook.
  */
-void magazine_thread_exit(void* root);
+void magazine_thread_exit(void* first_node);
 
 }  // namespace detail
 }  // namespace hoard

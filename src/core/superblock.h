@@ -60,7 +60,7 @@ class Superblock
         HOARD_DCHECK(detail::is_aligned(memory, superblock_bytes));
         auto* sb = new (memory) Superblock();
         sb->span_bytes_ = superblock_bytes;
-        sb->arena_ = arena;
+        sb->tag_ = tag_for(arena);
         sb->reformat(size_class, block_bytes);
         return sb;
     }
@@ -75,12 +75,15 @@ class Superblock
     {
         auto* sb = new (memory) Superblock();
         sb->span_bytes_ = total_bytes;
-        sb->arena_ = arena;
+        sb->tag_ = tag_for(arena);
         sb->size_class_ = kHugeClass;
         sb->block_bytes_ = 0;
         sb->capacity_ = 1;
         sb->used_ = 1;
         sb->huge_user_bytes_ = user_bytes;
+        sb->window_lo_ = reinterpret_cast<std::uintptr_t>(memory) +
+                         (total_bytes - user_bytes);
+        sb->window_bytes_ = 1;
         return sb;
     }
 
@@ -95,7 +98,7 @@ class Superblock
         auto addr = reinterpret_cast<std::uintptr_t>(p);
         auto* sb = reinterpret_cast<Superblock*>(
             detail::align_down(addr, superblock_bytes));
-        if (sb->magic_ != kMagic)
+        if (!sb->has_magic())
             HOARD_FATAL("free of pointer %p not from this allocator", p);
         return sb;
     }
@@ -111,7 +114,7 @@ class Superblock
         auto addr = reinterpret_cast<std::uintptr_t>(p);
         auto* sb = reinterpret_cast<Superblock*>(
             detail::align_down(addr, superblock_bytes));
-        return sb->magic_ == kMagic ? sb : nullptr;
+        return sb->has_magic() ? sb : nullptr;
     }
 
     /**
@@ -122,12 +125,14 @@ class Superblock
     void
     reformat(int size_class, std::uint32_t block_bytes)
     {
-        HOARD_DCHECK(used_ == 0 || magic_ != kMagic);
+        HOARD_DCHECK(used_ == 0 || !has_magic());
         size_class_ = size_class;
         block_bytes_ = block_bytes;
         capacity_ = static_cast<std::uint32_t>(
             (span_bytes_ - header_bytes()) / block_bytes);
         HOARD_DCHECK(capacity_ >= 2);
+        window_lo_ = reinterpret_cast<std::uintptr_t>(payload_begin());
+        window_bytes_ = 0;  // opened when a heap adopts the span
         used_ = 0;
         bump_ = 0;
         free_list_ = nullptr;
@@ -233,8 +238,18 @@ class Superblock
     bool huge() const { return size_class_ == kHugeClass; }
     std::size_t huge_user_bytes() const { return huge_user_bytes_; }
 
-    /** Identifier of the allocator instance that formatted this span. */
-    std::uint32_t arena() const { return arena_; }
+    /**
+     * The header's magic word and arena id as one value: the tag of a
+     * span allocator @p arena formatted.  The hardened free path
+     * checks both with a single compare against its own tag.
+     */
+    static constexpr std::uint64_t
+    tag_for(std::uint32_t arena)
+    {
+        return std::uint64_t{arena} << 32 | kMagic;
+    }
+
+    std::uint64_t tag() const { return tag_; }
 
     /// @name Heap-profiler sampled-block count.
     /// Number of profiler-sampled blocks currently live in this
@@ -377,6 +392,30 @@ class Superblock
     }
     /// @}
 
+    /// @name Free window (the hardened free path's range probe).
+    /// The addresses free() may name: the carved blocks of a small
+    /// superblock, exactly the object's start for a huge span.  A small
+    /// superblock's window opens when a heap adopts it and closes when
+    /// it retires empty to the reuse cache, so one compare rejects both
+    /// pointers no allocation handed out and blocks of a span that is
+    /// already wholly free.  Written only while the span has no live
+    /// blocks, so a valid free never races the writes.
+    /// @{
+    bool
+    in_free_window(std::uintptr_t addr) const
+    {
+        return addr - window_lo_ < window_bytes_;
+    }
+
+    void
+    open_free_window()
+    {
+        window_bytes_ = std::size_t{capacity_} * block_bytes_;
+    }
+
+    void close_free_window() { window_bytes_ = 0; }
+    /// @}
+
     /** First byte available for blocks. */
     char*
     payload_begin() const
@@ -421,15 +460,22 @@ class Superblock
     Superblock() = default;
 
     static constexpr std::uint32_t kMagic = 0x48524442;  // "HRDB"
+
+    bool
+    has_magic() const
+    {
+        return static_cast<std::uint32_t>(tag_) == kMagic;
+    }
     static constexpr int kHugeClass = -2;
 
-    std::uint32_t magic_ = kMagic;
+    /// Magic word (low half) and owning allocator instance id (high
+    /// half); see tag_for.
+    std::uint64_t tag_ = kMagic;
     int size_class_ = 0;
     std::uint32_t block_bytes_ = 0;
     std::uint32_t capacity_ = 0;
     std::uint32_t used_ = 0;
     std::uint32_t bump_ = 0;          ///< next never-allocated block index
-    std::uint32_t arena_ = 0;         ///< owning allocator instance id
     void* free_list_ = nullptr;       ///< LIFO of freed blocks
     std::atomic<void*> owner_{nullptr};
     std::atomic<std::uint32_t> sampled_{0};  ///< live profiler samples
@@ -437,6 +483,8 @@ class Superblock
     std::size_t huge_user_bytes_ = 0;
     std::size_t purged_bytes_ = 0;    ///< payload bytes decommitted by purge
     std::uint64_t retire_tick_ = 0;   ///< policy time the span went idle
+    std::uintptr_t window_lo_ = 0;    ///< free window start address
+    std::size_t window_bytes_ = 0;    ///< free window length; 0 = closed
 };
 
 using SuperblockList =

@@ -41,7 +41,9 @@ struct SpeedupOptions
         baselines::kAllKinds.begin(), baselines::kAllKinds.end()};
     sim::CostModel costs;
     std::uint64_t quantum = 200;
-    Config base_config;  ///< heap_count is overridden with P per cell
+    /// heap_count is overridden with P per cell; magazines off, like
+    /// the paper (sim_config)
+    Config base_config = sim_config();
 
     /**
      * Simulated threads per processor (default 1, the paper's setup).

@@ -9,43 +9,7 @@ namespace {
 
 std::atomic<int> g_next_index{0};
 
-std::atomic<void (*)(void*)> g_thread_exit_hook{nullptr};
-
-/**
- * Holds the per-thread cache slot and runs the exit hook from its
- * destructor, which the runtime calls at OS-thread exit (after the
- * thread body returns, before join() unblocks — so a post-join flush
- * observes the hook's effects).
- */
-struct CacheSlotHolder
-{
-    void* slot = nullptr;
-
-    ~CacheSlotHolder()
-    {
-        void (*hook)(void*) =
-            g_thread_exit_hook.load(std::memory_order_acquire);
-        if (slot != nullptr && hook != nullptr)
-            hook(slot);
-        slot = nullptr;
-    }
-};
-
-thread_local CacheSlotHolder t_cache_slot;
-
 }  // namespace
-
-void*&
-NativePolicy::thread_cache_slot()
-{
-    return t_cache_slot.slot;
-}
-
-void
-NativePolicy::set_thread_exit_hook(void (*hook)(void*))
-{
-    g_thread_exit_hook.store(hook, std::memory_order_release);
-}
 
 __attribute__((noinline)) int
 NativePolicy::profile_backtrace(std::uintptr_t* frames, int max)

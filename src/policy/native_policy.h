@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <mutex>
 
+#include "common/thread_exit.h"
 #include "obs/gating.h"
 #include "policy/cost_kind.h"
 
@@ -170,19 +171,34 @@ struct NativePolicy
     static void rebind_thread_index(int idx) { ThreadRegistry::rebind(idx); }
 
     /**
-     * The calling logical thread's opaque cache slot (the thread-
-     * magazine root, core/magazine.h).  One slot per OS thread here;
-     * under SimPolicy one per fiber — which is why the allocator goes
-     * through the policy instead of declaring a thread_local.
+     * The calling logical thread's opaque cache slot (the head of its
+     * magazine chain, core/magazine.h).  One slot per OS thread here;
+     * under SimPolicy one per fiber, which is why the allocator goes
+     * through the policy instead of declaring a thread_local.  Inline,
+     * initial-exec TLS: the magazine fast path reads it on every call.
      */
-    static void*& thread_cache_slot();
+    static void*& thread_cache_slot() { return detail::t_cache_slot; }
 
     /**
      * Installs the process-wide hook invoked with a thread's non-null
-     * cache slot when that logical thread exits (here: from a
-     * thread_local destructor).  Idempotent; last writer wins.
+     * cache slot when that OS thread exits.  The hook runs from the
+     * thread's one exit hook (common/thread_exit.h), which first
+     * empties the slot, so allocator calls later in the thread's exit
+     * find it empty.  Idempotent; last writer wins.
      */
-    static void set_thread_exit_hook(void (*hook)(void*));
+    static void
+    set_thread_exit_hook(void (*hook)(void*))
+    {
+        detail::set_thread_exit_hook(hook);
+    }
+
+    /**
+     * Makes sure the exit hook will run for the calling thread; the
+     * allocator calls it before it first fills the slot.  False once
+     * the thread's exit hook has run (or the process is out of pthread
+     * keys): the slot must then stay empty.
+     */
+    static bool arm_thread_exit_hook() { return detail::thread_exit_arm(); }
 };
 
 }  // namespace hoard

@@ -147,6 +147,10 @@ struct SimPolicy
     {
         sim::Machine::set_thread_exit_hook(hook);
     }
+
+    /** @see NativePolicy::arm_thread_exit_hook — a fiber's body always
+        ends in the hook, and no allocator code runs after it. */
+    static bool arm_thread_exit_hook() { return true; }
 };
 
 }  // namespace hoard

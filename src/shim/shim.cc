@@ -46,10 +46,14 @@
  *    rather than letting them reach the allocator's internal aborts.
  *
  * Known bounds (documented, not bugs): allocator-internal metadata
- * allocated while a wrapper is on the stack (magazine nodes, ~1-2 KiB
- * per new thread) also lands in the bump arena and is never
- * reclaimed, so the 8 MiB arena supports several thousand thread
- * creations; exceed it and malloc fails cleanly with ENOMEM.
+ * allocated while a wrapper is on the stack also lands in the bump
+ * arena and is never reclaimed.  Per thread that is one magazine node
+ * (under 1 KiB), and an exited thread's node is reused by the next
+ * thread (core/magazine.h); the exit hook is a pthread key, whose value
+ * glibc keeps in the thread descriptor, not a thread_local destructor
+ * record.  So the 8 MiB arena bounds the threads alive at once (several
+ * thousand), not the threads ever created; past it, malloc fails
+ * cleanly with ENOMEM.
  */
 
 #include <cerrno>

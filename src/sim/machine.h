@@ -52,7 +52,7 @@ class SimThread
     friend class VirtualMutex;
 
     std::unique_ptr<Fiber> fiber_;
-    void* cache_slot_ = nullptr;  ///< per-fiber allocator cache root
+    void* cache_slot_ = nullptr;  ///< per-fiber magazine chain
     std::uint64_t profile_site_ = 0;  ///< deterministic backtrace token
     std::uint64_t clock_ = 0;
     std::uint64_t pending_ = 0;   ///< charged but not yet committed
@@ -121,9 +121,9 @@ class Machine
     void rebind_tid(int logical_tid);
 
     /**
-     * The calling simulated thread's opaque cache slot (thread-magazine
-     * root) — the per-fiber analogue of a thread_local, because many
-     * fibers share one OS thread.
+     * The calling simulated thread's opaque cache slot (the head of its
+     * magazine chain) — the per-fiber analogue of a thread_local,
+     * because many fibers share one OS thread.
      */
     void*& thread_cache_slot();
 

@@ -149,7 +149,9 @@ TEST(Serial, SingleHeapSharedByAllThreads)
 
 TEST(Hoard, ThreadsGetDisjointSuperblocks)
 {
-    Config config;
+    // No magazines: rebind_thread_index moves this thread to another
+    // heap, but not its magazine, whose refill batch would serve both.
+    Config config = sim_config();
     config.heap_count = 4;
     auto allocator = baselines::make_allocator<NativePolicy>(
         baselines::AllocatorKind::hoard, config);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <barrier>
 #include <cstdint>
 #include <thread>
@@ -273,19 +274,91 @@ TEST(ShardedStats, ThreadsUpdateDistinctCacheLines)
     auto line = [](const void* p) {
         return reinterpret_cast<std::uintptr_t>(p) / kCacheLineBytes;
     };
+    // Both threads live at once: an exited thread's shard is recycled.
     const void* mine[2][2] = {};
+    std::barrier both(2);
+    std::vector<std::thread> threads;
     for (int t = 0; t < 2; ++t) {
-        std::thread([&, t] {
+        threads.emplace_back([&, t] {
             mine[t][0] = c.my_shard();
             mine[t][1] = g.my_shard();
-        }).join();
+            both.arrive_and_wait();
+        });
     }
+    for (auto& t : threads)
+        t.join();
     for (int k = 0; k < 2; ++k) {
         EXPECT_EQ(reinterpret_cast<std::uintptr_t>(mine[0][k]) %
                       kCacheLineBytes,
                   0u);
         EXPECT_NE(line(mine[0][k]), line(mine[1][k]));
     }
+}
+
+TEST(ShardedStats, OwnedShardsAreRecycled)
+{
+    // Threads created and joined one at a time: each must own a shard
+    // no live thread writes (so never the overflow shard, and never the
+    // main thread's), which after kStatShards - 1 threads is possible
+    // only if exited threads gave theirs back.  A new owner carries on
+    // from the values its predecessor left, so the sums stay exact.
+    ShardedCounter c;
+    ShardedGauge g;
+    const unsigned main_shard = stat_shard();
+    constexpr int kThreads = 4 * kStatShards;
+    std::vector<unsigned> shards(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+        std::thread([&, t] {
+            shards[t] = stat_shard();
+            c.add(static_cast<std::uint64_t>(t));
+            g.add(std::uint64_t{1000} + static_cast<std::uint64_t>(t));
+            g.sub(1000);
+        }).join();
+    }
+    std::uint64_t sum = 0;
+    for (int t = 0; t < kThreads; ++t) {
+        EXPECT_LT(shards[t], kOverflowShard) << "thread " << t;
+        EXPECT_NE(shards[t], main_shard) << "thread " << t;
+        sum += static_cast<std::uint64_t>(t);
+    }
+    EXPECT_EQ(c.get(), sum);
+    EXPECT_EQ(g.current(), sum);
+}
+
+TEST(ShardedStats, ExactWithMoreLiveThreadsThanOwnedShards)
+{
+    // More live threads than owned shards: the latecomers share the
+    // overflow shard with atomic updates, next to owners updating
+    // theirs with plain stores, and every sum stays exact.
+    constexpr int kThreads = kStatShards + 16;
+    constexpr int kOps = 2000;
+    ShardedCounter c;
+    ShardedGauge g;
+    std::barrier all_live(kThreads);
+    std::atomic<int> overflow{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            if (stat_shard() == kOverflowShard)
+                overflow.fetch_add(1, std::memory_order_relaxed);
+            all_live.arrive_and_wait();
+            const auto n = static_cast<std::uint64_t>(t % 7 + 1);
+            for (int i = 0; i < kOps; ++i) {
+                c.add(n);
+                g.add(64 * n);
+                if (i % 2 == 1)
+                    g.sub(64 * n);
+            }
+        });
+    }
+    for (auto& t : threads)
+        t.join();
+    EXPECT_GT(overflow.load(), 0);
+    std::uint64_t adds = 0;
+    for (int t = 0; t < kThreads; ++t)
+        adds += static_cast<std::uint64_t>(t % 7 + 1);
+    EXPECT_EQ(c.get(), adds * kOps);
+    EXPECT_EQ(g.current(), 64 * adds * (kOps / 2));
 }
 
 TEST(AllocatorStats, FragmentationDefinition)

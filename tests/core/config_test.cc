@@ -18,7 +18,8 @@ TEST(Config, DefaultsAreValid)
     EXPECT_DOUBLE_EQ(config.empty_fraction, 0.25);
     EXPECT_EQ(config.slack_superblocks, 8u);
     EXPECT_DOUBLE_EQ(config.release_threshold, 1.0);
-    EXPECT_EQ(config.thread_cache_blocks, 0u);
+    EXPECT_EQ(config.thread_cache_blocks, 16u);
+    EXPECT_EQ(sim_config().thread_cache_blocks, 0u);
 }
 
 struct ConfigCase

@@ -3,6 +3,7 @@
 #include "core/facade.h"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <cerrno>
 #include <cstdio>
@@ -213,6 +214,94 @@ TEST(Facade, ShardedCountsFoldExactlyAfterJoin)
               std::uint64_t{kThreads} * kCalls);
     EXPECT_EQ(hoard_stats().frees.get() - frees0,
               std::uint64_t{kThreads} * kCalls);
+}
+
+/** What a worker's late pthread key destructor saw (see below). */
+struct LateFree
+{
+    pthread_key_t key;
+    void* block = nullptr;
+    int rounds = 0;
+    bool slot_empty = false;
+    bool slot_stayed_empty = false;
+    unsigned shard = 0;
+};
+
+/**
+ * A key destructor that runs after the allocator's own exit hook (it
+ * re-arms itself for a later round until the hook has emptied the
+ * thread's cache slot): it frees a block the thread allocated and
+ * churns another, which must take the locked path and leave the slot
+ * empty rather than reach the magazine metadata the hook recycled, and
+ * count on the overflow shard rather than the one the hook released.
+ */
+void
+late_free(void* arg)
+{
+    auto* late = static_cast<LateFree*>(arg);
+    if (NativePolicy::thread_cache_slot() != nullptr &&
+        ++late->rounds < 4) {
+        pthread_setspecific(late->key, late);
+        return;
+    }
+    late->slot_empty = NativePolicy::thread_cache_slot() == nullptr;
+    hoard_free(late->block);
+    hoard_free(hoard_malloc(48));
+    late->slot_stayed_empty = NativePolicy::thread_cache_slot() == nullptr;
+    late->shard = detail::stat_shard();
+}
+
+TEST(FacadeThreadExit, FreesAfterTheExitHookTakeTheLockedPath)
+{
+    ASSERT_GT(global_allocator().config().thread_cache_blocks, 0u);
+    LateFree late;
+    ASSERT_EQ(pthread_key_create(&late.key, &late_free), 0);
+    const std::uint64_t allocs0 = hoard_stats().allocs.get();
+    const std::uint64_t frees0 = hoard_stats().frees.get();
+    std::thread([&late] {
+        late.block = hoard_malloc(48);
+        hoard_free(hoard_malloc(48));  // a magazine hit
+        ASSERT_NE(NativePolicy::thread_cache_slot(), nullptr);
+        pthread_setspecific(late.key, &late);
+    }).join();
+    pthread_key_delete(late.key);
+    EXPECT_TRUE(late.slot_empty);
+    EXPECT_TRUE(late.slot_stayed_empty);
+    EXPECT_EQ(late.shard, detail::kOverflowShard);
+    EXPECT_EQ(hoard_stats().allocs.get() - allocs0, 3u);
+    EXPECT_EQ(hoard_stats().frees.get() - frees0, 3u);
+}
+
+using FacadeThreadExitDeathTest = ::testing::Test;
+
+TEST(FacadeThreadExitDeathTest, MainThreadFreesFromExitTimeDestructors)
+{
+    // exit() runs the main thread's thread_local destructors, then the
+    // static ones (a gtest binary's UnitTest is one), and never the
+    // thread's key destructors: both kinds must find its magazines
+    // alive.  The thread_local is touched before this thread's first
+    // allocator call, so its destructor runs after anything the
+    // allocator could have registered for the thread.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    struct FreeAtExit
+    {
+        void* block = nullptr;
+        ~FreeAtExit()
+        {
+            hoard_free(block);
+            hoard_free(hoard_malloc(48));
+        }
+    };
+    EXPECT_EXIT(
+        {
+            static thread_local FreeAtExit at_thread_exit;
+            at_thread_exit.block = nullptr;
+            static FreeAtExit at_exit;
+            at_thread_exit.block = hoard_malloc(48);
+            at_exit.block = hoard_malloc(48);
+            std::exit(0);
+        },
+        ::testing::ExitedWithCode(0), "");
 }
 
 TEST(Facade, GlobalAllocatorIsStable)

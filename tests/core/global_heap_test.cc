@@ -39,11 +39,12 @@ namespace {
 using NativeHoard = HoardAllocator<NativePolicy>;
 using SimHoard = HoardAllocator<SimPolicy>;
 
-/** Paper-literal victim mode so partial superblocks reach the bins. */
+/** Paper-literal victim mode so partial superblocks reach the bins,
+    with no magazines parking the freed blocks in front of the heaps. */
 Config
 bin_config(int heaps)
 {
-    Config config;
+    Config config = sim_config();
     config.heap_count = heaps;
     config.empty_fraction = 0.25;
     config.release_threshold = 0.25;
@@ -182,7 +183,8 @@ TEST(ReuseCache, SameClassRoundTripSkipsTheOs)
 
 TEST(ReuseCache, CrossClassStealRecyclesFormattedSpans)
 {
-    Config config;
+    // No magazines: the frees below must empty superblocks, not park.
+    Config config = sim_config();
     config.heap_count = 2;
     config.slack_superblocks = 0;
     NativeHoard allocator(config);
@@ -281,7 +283,9 @@ TEST(ReuseCache, HugeAllocationLargerThanTheCacheEmptiesIt)
 
 TEST(ReuseCache, FreshMapAfterAGiveBackRaisesTheReserve)
 {
-    Config config;
+    // No magazines: the refill below must map a fresh superblock
+    // rather than pop a block parked by the earlier frees.
+    Config config = sim_config();
     config.heap_count = 2;
     config.slack_superblocks = 0;
     NativeHoard allocator(config);

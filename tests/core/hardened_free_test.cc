@@ -130,6 +130,49 @@ TEST(HardenedFree, ForeignArenaPointerIsRejected)
     EXPECT_TRUE(stranger.check_invariants());
 }
 
+TEST(HardenedFree, FreeIntoAReuseCachedSpanIsDouble)
+{
+    // No magazines and no slack, so the frees below empty superblocks
+    // into the reuse cache, where each span's free window is closed.
+    Config config = sim_config();
+    config.heap_count = 2;
+    config.slack_superblocks = 0;
+    config.on_bad_free = Config::BadFreePolicy::warn;
+    HoardAllocator<NativePolicy> allocator(config);
+    NativePolicy::rebind_thread_index(0);
+    std::vector<void*> blocks;
+    for (int i = 0; i < 1000; ++i)
+        blocks.push_back(allocator.allocate(64));
+    for (void* p : blocks)
+        allocator.deallocate(p);
+    ASSERT_GT(allocator.stats().cache_pushes.get(), 0u);
+
+    // Any block whose span sits in the cache (no owner heap) was freed
+    // with it; the cache never unmaps at the default limit.
+    void* stale = nullptr;
+    for (void* p : blocks) {
+        if (Superblock::from_pointer(p, config.superblock_bytes)
+                ->owner() == nullptr) {
+            stale = p;
+            break;
+        }
+    }
+    ASSERT_NE(stale, nullptr);
+    const std::uint64_t frees = allocator.stats().frees.get();
+    allocator.deallocate(stale);
+    EXPECT_EQ(allocator.stats().bad_free_double.get(), 1u);
+    EXPECT_EQ(allocator.stats().frees.get(), frees);
+
+    // A span adopted back out of the cache opens its window again.
+    blocks.clear();
+    for (int i = 0; i < 1000; ++i)
+        blocks.push_back(allocator.allocate(64));
+    for (void* p : blocks)
+        allocator.deallocate(p);
+    EXPECT_EQ(bad_free_total(allocator.stats()), 1u);
+    EXPECT_TRUE(allocator.check_invariants());
+}
+
 TEST(HardenedFree, BlockInteriorPointerStillFrees)
 {
     // Aligned allocation can return an address interior to a block, so

@@ -99,6 +99,9 @@ TEST(OomReclaim, StateUnchangedOnFailedAllocation)
     NativePolicy::rebind_thread_index(0);
     os::MmapPageProvider inner;
     Config config = small_config();
+    // No magazines: the reclaim the failed allocation runs would flush
+    // this thread's refill batch back into heap 1 and move its books.
+    config.thread_cache_blocks = 0;
     os::CappedPageProvider provider(inner, config.superblock_bytes);
     NativeHoard allocator(config, provider);
 

@@ -26,7 +26,7 @@ using SimHoard = HoardAllocator<SimPolicy>;
 Config
 sim_config(int heaps)
 {
-    Config config;
+    Config config = hoard::sim_config();
     config.heap_count = heaps;
     return config;
 }
@@ -211,6 +211,50 @@ TEST(SimAllocator, ThreadCacheWorksUnderSim)
                   [&allocator] { allocator.flush_thread_caches(); });
     flusher.run();
     EXPECT_EQ(allocator.stats().cached_bytes.current(), 0u);
+}
+
+TEST(SimAllocator, FibersSharingAShardKeepExactCountsAndPeak)
+{
+    // Every fiber runs on this OS thread and so updates its stat shard
+    // with plain stores; a fiber never switches inside an update, so
+    // the counts and the peak stay exact.  Phase 1 churns one block at
+    // a time; phase 2 holds every fiber's blocks at once, so the level
+    // peaks exactly at the sum of the held blocks' sizes.
+    constexpr int kFibers = 8;
+    constexpr int kChurn = 300;
+    constexpr int kHold = 200;
+    SimHoard allocator{Config{}};  // magazines on, like the shipped shim
+    sim::Machine machine(4);
+    sim::VirtualEvent held;
+    int holding = 0;
+    std::uint64_t held_bytes = 0;
+    for (int t = 0; t < kFibers; ++t) {
+        machine.spawn(t % 4, t, [&, t] {
+            for (int i = 0; i < kChurn; ++i)
+                allocator.deallocate(allocator.allocate(
+                    static_cast<std::size_t>(16 + (i * 7 + t) % 200)));
+            std::vector<void*> blocks;
+            for (int i = 0; i < kHold; ++i) {
+                void* p = allocator.allocate(
+                    static_cast<std::size_t>(24 + (i * 13 + t) % 900));
+                held_bytes += allocator.usable_size(p);
+                blocks.push_back(p);
+            }
+            if (++holding == kFibers)
+                held.signal();
+            else
+                held.wait();
+            for (void* p : blocks)
+                allocator.deallocate(p);
+        });
+    }
+    machine.run();
+    const auto& stats = allocator.stats();
+    const auto ops = static_cast<std::uint64_t>(kFibers) * (kChurn + kHold);
+    EXPECT_EQ(stats.allocs.get(), ops);
+    EXPECT_EQ(stats.frees.get(), ops);
+    EXPECT_EQ(stats.in_use_bytes.current(), 0u);
+    EXPECT_EQ(stats.in_use_bytes.peak(), held_bytes);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "common/memutil.h"
@@ -157,11 +158,59 @@ TEST(ThreadCache, AlignedBlocksCacheWholeBlocks)
     EXPECT_TRUE(allocator.check_invariants());
 }
 
-TEST(ThreadCache, DisabledByDefault)
+TEST(ThreadCache, ExitedThreadsNodesAreReused)
 {
-    Config config;
-    EXPECT_EQ(config.thread_cache_blocks, 0u);
-    NativeHoard allocator(config);
+    // Threads created and joined one at a time: each exit parks the
+    // thread's magazine node, and the next thread takes it, so thread
+    // churn costs no metadata per thread ever created (under the shim
+    // the nodes come from a never-reused arena).
+    NativeHoard allocator(cached_config());
+    const std::size_t malloced = detail::magazine_nodes_malloced();
+    for (int t = 0; t < 64; ++t) {
+        std::thread([&] {
+            allocator.deallocate(allocator.allocate(64));
+            EXPECT_NE(NativePolicy::thread_cache_slot(), nullptr);
+        }).join();
+    }
+    EXPECT_LE(detail::magazine_nodes_malloced() - malloced, 1u);
+    EXPECT_EQ(allocator.stats().cached_bytes.current(), 0u);
+    EXPECT_TRUE(allocator.check_invariants());
+}
+
+TEST(ThreadCache, DestroyedAllocatorsNodesAreReused)
+{
+    // A thread that keeps creating and destroying allocators: each
+    // registration first parks the chain's nodes of destroyed
+    // allocators, so the chain stays one node long and its nodes are
+    // reused rather than piling up until the thread exits.
+    std::thread([] {
+        const std::size_t malloced = detail::magazine_nodes_malloced();
+        for (int i = 0; i < 64; ++i) {
+            NativeHoard allocator(cached_config());
+            allocator.deallocate(allocator.allocate(64));
+        }
+        std::size_t chain = 0;
+        for (auto* node = static_cast<detail::MagazineNode*>(
+                 NativePolicy::thread_cache_slot());
+             node != nullptr; node = node->next_in_thread)
+            ++chain;
+        EXPECT_EQ(chain, 1u);
+        EXPECT_LE(detail::magazine_nodes_malloced() - malloced, 1u);
+    }).join();
+}
+
+TEST(ThreadCache, OnByDefaultOffInSimConfig)
+{
+    {
+        NativeHoard allocator{Config{}};
+        EXPECT_EQ(allocator.config().thread_cache_blocks, 16u);
+        void* p = allocator.allocate(64);
+        allocator.deallocate(p);
+        EXPECT_GT(allocator.stats().cached_bytes.peak(), 0u);
+        allocator.flush_thread_caches();
+        EXPECT_EQ(allocator.stats().cached_bytes.current(), 0u);
+    }
+    NativeHoard allocator(sim_config());
     void* p = allocator.allocate(64);
     allocator.deallocate(p);
     EXPECT_EQ(allocator.stats().cached_bytes.peak(), 0u);

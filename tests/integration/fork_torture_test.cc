@@ -18,10 +18,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <barrier>
 #include <cstdint>
 #include <thread>
 #include <vector>
 
+#include "common/stats.h"
 #include "core/facade.h"
 
 /** TSan aborts forked children of threaded parents by default; this
@@ -156,6 +158,47 @@ TEST(ForkTorture, ForkFromSpawnedThread)
         << "1=alloc failed 2=gauges don't reconcile 3=heap invariant "
            "4=structural check 100+=fork/wait plumbing";
     EXPECT_TRUE(global_allocator().check_invariants());
+}
+
+TEST(ForkTorture, ChildReleasesShardsOfThreadsItLacks)
+{
+    // The parent forks while kStatShards threads hold a stat shard
+    // each, so every owned shard is taken.  Those threads do not exist
+    // in the child, so the child's atfork handler must free their
+    // shards: a thread the child creates then owns one instead of
+    // falling back to the shared overflow shard.
+#if defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "TSan cannot start a thread in the child of a "
+                    "multithreaded fork";
+#endif
+    hoard_install_atfork();
+    constexpr int kHolders = detail::kStatShards;
+    std::barrier claimed(kHolders + 1);
+    std::barrier forked(kHolders + 1);
+    std::vector<std::thread> holders;
+    for (int t = 0; t < kHolders; ++t) {
+        holders.emplace_back([&] {
+            (void)detail::stat_shard();
+            claimed.arrive_and_wait();
+            forked.arrive_and_wait();
+        });
+    }
+    claimed.arrive_and_wait();
+    pid_t pid = fork();
+    if (pid == 0) {
+        unsigned shard = detail::kOverflowShard;
+        std::thread([&shard] { shard = detail::stat_shard(); }).join();
+        _exit(shard < detail::kOverflowShard ? 0 : 1);
+    }
+    forked.arrive_and_wait();
+    for (std::thread& t : holders)
+        t.join();
+    ASSERT_GT(pid, 0);
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0)
+        << "the child's new thread fell back to the overflow shard";
 }
 
 }  // namespace
