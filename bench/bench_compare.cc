@@ -173,7 +173,8 @@ summarize_timeline(const std::string& path)
         "malloc_fast",      "malloc_refill",
         "malloc_global_fetch", "malloc_fresh_map",
         "free_fast",        "free_spill",
-        "free_remote_push", "owner_drain"};
+        "free_remote_push", "owner_drain",
+        "malloc_huge",      "free_huge"};
     bool any = false;
     for (const char* name : kLatPaths) {
         const double n =

@@ -182,7 +182,11 @@ run_child(const char* argv0, const std::string& shim,
           const std::string& result_path, bool quick,
           const std::string& extra_env)
 {
-    std::string cmd = "HOARD_MACRO_RSS_RESULT='" + result_path + "'";
+    // Both children start without the calling environment's purge
+    // knobs; the purge run then sets its own.
+    std::string cmd = "env -u HOARD_RSS_TARGET -u HOARD_PURGE_AGE "
+                      "HOARD_MACRO_RSS_RESULT='" +
+                      result_path + "'";
     if (quick)
         cmd += " HOARD_MACRO_QUICK=1";
     if (!extra_env.empty())
@@ -251,9 +255,8 @@ main(int argc, char** argv)
     // pages, so the measurement reflects the purge pass rather than
     // header overhead.
     const std::string common = "HOARD_SUPERBLOCK_BYTES=65536";
-    const ChildRss keep = run_child(
-        argv0, shim, result_path, cli.quick,
-        common + " HOARD_RSS_TARGET= HOARD_PURGE_AGE=");
+    const ChildRss keep =
+        run_child(argv0, shim, result_path, cli.quick, common);
     const ChildRss purge = run_child(
         argv0, shim, result_path, cli.quick,
         common + " HOARD_RSS_TARGET=1 HOARD_PURGE_INTERVAL=1");

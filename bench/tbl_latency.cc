@@ -234,11 +234,13 @@ main(int argc, char** argv)
         for (LatencyPath p : {LatencyPath::malloc_fast,
                               LatencyPath::malloc_refill,
                               LatencyPath::malloc_global_fetch,
-                              LatencyPath::malloc_fresh_map})
+                              LatencyPath::malloc_fresh_map,
+                              LatencyPath::malloc_huge})
             malloc_ops += snap.latency.path(p).count();
         for (LatencyPath p : {LatencyPath::free_fast,
                               LatencyPath::free_spill,
-                              LatencyPath::free_remote_push})
+                              LatencyPath::free_remote_push,
+                              LatencyPath::free_huge})
             free_ops += snap.latency.path(p).count();
         const bool counts_ok = malloc_ops == snap.stats.allocs &&
                                free_ops == snap.stats.frees;

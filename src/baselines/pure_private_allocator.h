@@ -198,7 +198,7 @@ class PurePrivateAllocator final : public Allocator
         void* memory = provider_.map(total, config_.superblock_bytes);
         if (memory == nullptr)
             return nullptr;
-        Superblock::create_huge(memory, total, size);
+        Superblock::create_huge(memory, total, offset, size);
         stats_.allocs.add();
         stats_.huge_allocs.add();
         stats_.in_use_bytes.add(size);

@@ -422,6 +422,11 @@ struct AllocatorStats
     /// Never incremented (the allocator has no background thread);
     /// kept because perfbench/harness.h reads it by name.
     Counter bg_wakeups;
+    Counter medium_reuses;       ///< medium allocations served by a span
+                                 ///< parked in the span cache
+    Counter medium_decommits;    ///< medium spans decommitted (freed past
+                                 ///< the cache's bound, evicted, purged
+                                 ///< or reclaimed)
 
     /**
      * Fragmentation as the paper reports it: maximum memory held by the

@@ -116,18 +116,12 @@ hoard_calloc(std::size_t count, std::size_t size)
         return nullptr;
     }
     std::size_t bytes = count * size;
-    void* p = hoard_malloc(bytes);
+    // Small blocks are cleared whole.  A huge span mapped afresh is
+    // zero already; a medium span recycled committed from the span
+    // cache is cleared as far as its earlier requests reached.
+    void* p = global_allocator().allocate_zeroed(bytes == 0 ? 1 : bytes);
     if (p == nullptr)
-        return nullptr;  // errno set by hoard_malloc
-    // Huge allocations need no memset: the provider's map() returns
-    // zeroed pages.  ReservedArenaProvider does recycle huge spans, but
-    // every huge free decommits its span (MADV_DONTNEED), so a reused
-    // span refaults as zero pages.  Keeping freed huge spans committed
-    // would make this skip wrong.  Small blocks recycle through free
-    // lists and magazines, so they must be cleared.
-    if (global_allocator().size_classes().class_for(
-            bytes == 0 ? 1 : bytes) != SizeClasses::kHuge)
-        std::memset(p, 0, bytes);
+        errno = ENOMEM;
     return p;
 }
 

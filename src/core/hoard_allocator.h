@@ -53,13 +53,18 @@
  * writes.  Only the slow paths (fetch, transfer, map, purge) move
  * shared gauges.
  *
- * Huge objects map their own span, but first give back the reuse
- * cache's surplus empty superblocks, up to the span's size, so a
- * program that drops a small-object working set and then maps large
- * buffers does not hold both.  Surplus is what lies above a reserve
- * that grows each time a small class has to map afresh after such a
- * give-back, so small classes that cycle empties through the cache
- * keep them.
+ * Huge objects (> S/2) get a dedicated span.  Medium ones, whose span
+ * is at most SpanCache::kCeilingBytes, round up to one of four classes
+ * per octave, and a freed medium span stays committed in the span cache
+ * (span_cache.h) as far as the emptiness invariant and the medium
+ * in-use high-water mark allow; the next request of its class takes it
+ * back with no syscall and no page fault.  A span that maps afresh first
+ * gives back the reuse cache's surplus empty superblocks, up to the
+ * span's size, so a program that drops a small-object working set and
+ * then maps large buffers does not hold both.  Surplus is what lies
+ * above a reserve that grows each time a small class has to map afresh
+ * after such a give-back, so small classes that cycle empties through
+ * the cache keep them.
  */
 
 #ifndef HOARD_CORE_HOARD_ALLOCATOR_H_
@@ -86,6 +91,7 @@
 #include "core/heap.h"
 #include "core/magazine.h"
 #include "core/size_classes.h"
+#include "core/span_cache.h"
 #include "core/superblock.h"
 #include "core/superblock_cache.h"
 #include "obs/event_ring.h"
@@ -329,9 +335,29 @@ class HoardAllocator final : public Allocator
     /// @}
 
     /**
+     * calloc's allocation: allocate() plus zeroing.  A small block is
+     * cleared whole.  A freshly mapped huge span is zero already, and a
+     * recycled medium span is cleared only as far as its earlier
+     * requests can have dirtied it, so untouched pages stay untouched.
+     */
+    void*
+    allocate_zeroed(std::size_t size)
+    {
+        if (classes_.class_for(size) == SizeClasses::kHuge) {
+            Policy::work(CostKind::malloc_base);
+            return allocate_huge(size, /*align=*/16, /*zero=*/true);
+        }
+        void* p = allocate(size);
+        if (p != nullptr)
+            std::memset(p, 0, size);
+        return p;
+    }
+
+    /**
      * Allocates @p size bytes aligned to @p align (power of two, at most
-     * S/2).  Alignments up to 16 are free; larger ones may return an
-     * interior pointer of a larger block, which deallocate() handles.
+     * S/2).  Alignments up to 16 cost at most a 16-byte class; larger
+     * ones may return an interior pointer of a larger block, which
+     * deallocate() handles.
      */
     void*
     allocate_aligned(std::size_t size, std::size_t align)
@@ -342,8 +368,9 @@ class HoardAllocator final : public Allocator
             HOARD_FATAL("alignment %zu exceeds S/2 = %zu", align,
                         config_.superblock_bytes / 2);
         }
+        // Classes of 16 B and up are 16-aligned; smaller ones only 8.
         if (align <= 16)
-            return allocate(size == 0 ? 1 : size);
+            return allocate(std::max(size, align));
 
         Policy::work(CostKind::malloc_base);
         // Find a class big enough that an aligned point with `size`
@@ -376,9 +403,10 @@ class HoardAllocator final : public Allocator
      * Best-effort memory release back to the OS: flushes the calling
      * thread's own magazines, settles every remote-free queue, then
      * unmaps every completely-empty superblock from every heap
-     * (including the global heap's empty cache).  Returns the bytes
-     * unmapped.  This is the reclaim step of the OOM retry path and
-     * doubles as a malloc_trim-style API for long-running servers
+     * (including the global heap's empty cache) and decommits every
+     * parked medium span.  Returns the bytes given back.  This is the
+     * reclaim step of the OOM retry path and doubles as a
+     * malloc_trim-style API for long-running servers
      * reacting to memory pressure.  Takes no lock on entry; heap locks
      * are taken one at a time, so concurrent allocation stays safe
      * (and may legitimately race fresh memory in).  Foreign threads'
@@ -438,6 +466,9 @@ class HoardAllocator final : public Allocator
             released += release_to_provider(chain);
             chain = next;
         }
+        while (Superblock* sb = spans_.take_oldest_if(
+                   [](const Superblock*) { return true; }))
+            released += decommit_span(sb);
         return released;
     }
 
@@ -445,7 +476,8 @@ class HoardAllocator final : public Allocator
      * Purge pass: decommits the payload pages of idle completely-empty
      * superblocks (the reuse cache plus the global bins' retained
      * band-0 empties) via the provider's purge(), keeping each span
-     * mapped and its header formatted for O(1) revival.  Milder than
+     * mapped and its header formatted for O(1) revival, and decommits
+     * eligible parked medium spans outright, oldest first.  Milder than
      * release_free_memory() — nothing is unmapped, the next same-class
      * fetch costs one unpurge() gauge move instead of a map syscall.
      * Eligibility: @p force takes everything; otherwise a superblock
@@ -500,6 +532,10 @@ class HoardAllocator final : public Allocator
                     released += purge_superblock(sb);
             }
         }
+        // Parked medium spans, oldest first: a span leaves the cache
+        // whole, so its purge is the decommit a free would have made.
+        while (Superblock* sb = spans_.take_oldest_if(eligible))
+            released += decommit_span(sb);
         stats_.purge_passes.add();
         return released;
     }
@@ -646,6 +682,9 @@ class HoardAllocator final : public Allocator
         return h.held;
     }
 
+    /** The medium span cache (parked spans, U, Û). */
+    const SpanCache<Policy>& span_cache() const { return spans_; }
+
     /** Heap index the calling thread allocates from. */
     int
     my_heap_index() const
@@ -679,9 +718,10 @@ class HoardAllocator final : public Allocator
     /**
      * Structured snapshot of every heap: u_i/a_i, superblock population
      * per size class and fullness group, lock-contention profiles, the
-     * huge list, and a copy of the global counters.  Available whether
-     * or not event tracing is enabled.  Takes each heap's lock briefly
-     * (one at a time, so concurrent allocation stays safe); exact
+     * huge list, the parked medium spans, and a copy of the global
+     * counters.  Available whether or not event tracing is enabled.
+     * Takes each heap's lock briefly (one at a time, so concurrent
+     * allocation stays safe); exact
      * reconciliation against the gauges needs a quiesced allocator.
      * Under SimPolicy this must run inside a simulated thread, like any
      * other lock-taking introspection.
@@ -755,6 +795,8 @@ class HoardAllocator final : public Allocator
         snap.stats.global_fetches = stats_.global_fetches.get();
         snap.stats.huge_allocs = stats_.huge_allocs.get();
         snap.stats.huge_cache_releases = stats_.huge_cache_releases.get();
+        snap.stats.medium_reuses = stats_.medium_reuses.get();
+        snap.stats.medium_decommits = stats_.medium_decommits.get();
         snap.stats.oom_reclaims = stats_.oom_reclaims.get();
         snap.stats.oom_failures = stats_.oom_failures.get();
         snap.stats.remote_frees = stats_.remote_frees.get();
@@ -794,6 +836,10 @@ class HoardAllocator final : public Allocator
                 snap.huge_span_bytes += sb->span_bytes();
             }
         }
+        spans_.for_each_parked([&snap](const Superblock* sb) {
+            ++snap.parked_count;
+            snap.parked_span_bytes += sb->span_bytes();
+        });
 
         // Phase 3: prune empty classes.  erase() only moves and
         // destroys — still no allocation.
@@ -863,8 +909,9 @@ class HoardAllocator final : public Allocator
     /**
      * Acquires every lock this allocator owns, in a fixed total order
      * (cache mutex, then the purge mutex, then per-processor heaps by
-     * index, then global bins by class, then huge stripes by slot),
-     * so fork() snapshots no lock in a half-held state and no heap
+     * index, then global bins by class, then huge stripes by slot,
+     * then the span cache), so fork() snapshots no lock in a half-held
+     * state and no heap
      * structure mid-mutation.  The magazine registry's own lock is
      * taken by the caller (hoard_install_atfork) *before* this, since
      * flushes can hold it while waiting on heap locks.
@@ -882,12 +929,14 @@ class HoardAllocator final : public Allocator
             bin->mutex.lock();
         for (auto& stripe : huge_stripes_)
             stripe.mutex.lock();
+        spans_.lock();
     }
 
     /** Releases every lock prepare_fork() took, in reverse order. */
     void
     parent_after_fork()
     {
+        spans_.unlock();
         for (std::size_t i = kHugeStripes; i-- > 0;)
             huge_stripes_[i].mutex.unlock();
         for (std::size_t i = global_bins_.size(); i-- > 0;)
@@ -2122,11 +2171,13 @@ class HoardAllocator final : public Allocator
      *     wild (not a superblock), else -> foreign (another
      *     allocator's span).
      *  3. free window (Superblock::in_free_window): one compare.  A
-     *     miss on a huge span is anything but the exact pointer handed
-     *     out -> interior; on a small one, outside the carved payload
-     *     -> interior (header or tail remainder), else the window is
-     *     closed because the span sits empty in the reuse cache, so
-     *     the block was already freed -> double.
+     *     miss on a huge span is its last object's start while the
+     *     span sits parked in the span cache -> double, else anything
+     *     but the exact pointer handed out -> interior; on a small one,
+     *     outside the carved payload -> interior (header or tail
+     *     remainder), else the window is closed because the span sits
+     *     empty in the reuse cache, so the block was already freed ->
+     *     double.
      *
      * A pointer *interior to a block* is legitimate (aligned
      * allocations hand those out) and passes; only pointers no
@@ -2178,11 +2229,15 @@ class HoardAllocator final : public Allocator
     __attribute__((noinline, cold)) Superblock*
     reject_window(const Superblock* sb, void* p)
     {
+        auto addr = reinterpret_cast<std::uintptr_t>(p);
         if (sb->huge()) {
+            if (sb->freed_huge_object(addr)) {
+                return report_bad_free(stats_.bad_free_double, "double", p,
+                                       SizeClasses::kHuge);
+            }
             return report_bad_free(stats_.bad_free_interior, "interior",
                                    p, SizeClasses::kHuge);
         }
-        auto addr = reinterpret_cast<std::uintptr_t>(p);
         auto base = reinterpret_cast<std::uintptr_t>(sb->payload_begin());
         if (addr - base >=
             static_cast<std::size_t>(sb->capacity()) * sb->block_bytes()) {
@@ -2244,10 +2299,11 @@ class HoardAllocator final : public Allocator
      * child is single-threaded here, magazines are already flushed and
      * remote queues settled, so the sums are exact: in_use is heap u_i
      * plus bin u_i plus huge user bytes; held adds the reuse cache's
-     * spans; committed is held minus whatever the purge pass has
-     * decommitted (summed span-by-span over the only two places purged
-     * superblocks live).  Event counters are left alone — they are
-     * diagnostics, not reconciled.
+     * and the span cache's spans, and the span cache's U is recounted
+     * from the live medium spans; committed is held minus whatever the
+     * purge pass has decommitted (summed span-by-span over the only two
+     * places purged superblocks live).  Event counters are left alone
+     * — they are diagnostics, not reconciled.
      */
     void
     repair_after_fork()
@@ -2280,13 +2336,18 @@ class HoardAllocator final : public Allocator
             reuse_cache_.push(chain);
             chain = next;
         }
+        std::size_t medium_in_use = 0;
         for (auto& stripe : huge_stripes_) {
             for (Superblock* sb = stripe.list.front(); sb != nullptr;
                  sb = stripe.list.next(sb)) {
                 in_use += sb->huge_user_bytes();
                 held += sb->span_bytes();
+                medium_in_use += sb->resident_bytes();
             }
         }
+        spans_.reset_in_use(medium_in_use);
+        spans_.for_each_parked(
+            [&held](const Superblock* sb) { held += sb->span_bytes(); });
         std::uint64_t cached = 0;
         for (detail::MagazineNode* node = cache_nodes_; node != nullptr;
              node = node->next_in_set) {
@@ -2710,29 +2771,29 @@ class HoardAllocator final : public Allocator
     }
 
     /** Huge path with the same reclaim-then-retry-once OOM handling.
-        Always timed when armed, attributed to malloc_fresh_map (every
-        huge allocation maps fresh memory); records on success only. */
+        Always timed when armed, on its own path (malloc_huge); records
+        on success only.  @p zero asks for calloc semantics. */
     void*
-    allocate_huge(std::size_t size, std::size_t align)
+    allocate_huge(std::size_t size, std::size_t align, bool zero = false)
     {
         [[maybe_unused]] std::uint64_t t0 = 0;
         if constexpr (Policy::kObsEnabled) {
             if (latency_ != nullptr)
                 t0 = Policy::cycle_timestamp();
         }
-        void* p = try_allocate_huge(size, align);
+        void* p = try_allocate_huge(size, align, zero);
         if (p == nullptr) {
             stats_.oom_reclaims.add();
             record_event(obs::EventKind::oom_reclaim, 0,
                          SizeClasses::kHuge, size);
             release_free_memory();
-            p = try_allocate_huge(size, align);
+            p = try_allocate_huge(size, align, zero);
             if (p == nullptr)
                 stats_.oom_failures.add();
         }
         if constexpr (Policy::kObsEnabled) {
             if (p != nullptr && latency_ != nullptr)
-                latency_commit(obs::LatencyPath::malloc_fresh_map, t0);
+                latency_commit(obs::LatencyPath::malloc_huge, t0);
         }
         return p;
     }
@@ -2770,24 +2831,53 @@ class HoardAllocator final : public Allocator
         }
     }
 
-    /** Huge path: a dedicated chunk with a superblock header. */
+    /**
+     * Huge path: a dedicated span with a superblock header.  A span up
+     * to the span cache's ceiling is medium: it rounds up to its class
+     * and comes back from the cache when one is parked, with @p zero
+     * clearing only what earlier requests can have dirtied.  Otherwise
+     * the span is mapped, and mapped memory is zero.
+     */
     void*
-    try_allocate_huge(std::size_t size, std::size_t align)
+    try_allocate_huge(std::size_t size, std::size_t align, bool zero)
     {
-        Policy::work(CostKind::os_map);
         std::size_t header = Superblock::header_bytes();
         std::size_t offset =
             align <= header ? header : detail::align_up(header, align);
         if (size > std::numeric_limits<std::size_t>::max() - offset)
             return nullptr;  // span would overflow; report OOM
-        std::size_t total = offset + size;
-        give_back_surplus_empties(total);
-        void* memory = provider_.map(total, config_.superblock_bytes);
-        if (memory == nullptr)
-            return nullptr;
-        note_mapped_range(memory, total);
+        const std::size_t need = offset + size;
+        const int cls = spans_.class_for(need);
+        const std::size_t span = cls < 0 ? need : spans_.class_bytes(cls);
+        Superblock* parked = cls < 0 ? nullptr : spans_.acquire(cls, need);
+        void* memory = parked;
+        std::size_t resident = need;
+        if (parked != nullptr) {
+            Policy::work(CostKind::list_op);
+            const std::size_t dirty = parked->resident_bytes();
+            resident = std::max(need, dirty);
+            if (zero && dirty > offset) {
+                std::memset(static_cast<char*>(memory) + offset, 0,
+                            std::min(size, dirty - offset));
+            }
+            stats_.medium_reuses.add();
+        } else {
+            Policy::work(CostKind::os_map);
+            give_back_surplus_empties(span);
+            memory = provider_.map(span, config_.superblock_bytes);
+            if (memory == nullptr) {
+                if (cls >= 0)
+                    spans_.cancel(need);
+                return nullptr;
+            }
+            note_mapped_range(memory, span);
+            stats_.held_bytes.add(span);
+            stats_.committed_bytes.add(span);
+        }
         Superblock* sb =
-            Superblock::create_huge(memory, total, size, arena_id_);
+            Superblock::create_huge(memory, span, offset, size, arena_id_);
+        if (cls >= 0)
+            sb->set_resident_bytes(resident);
         {
             HugeStripe& stripe = huge_stripe_for(memory);
             std::lock_guard<typename Policy::Mutex> guard(stripe.mutex);
@@ -2796,8 +2886,6 @@ class HoardAllocator final : public Allocator
         stats_.allocs.add();
         stats_.huge_allocs.add();
         stats_.in_use_bytes.add(size);
-        stats_.held_bytes.add(total);
-        stats_.committed_bytes.add(total);
         record_event(obs::EventKind::huge_alloc, 0, SizeClasses::kHuge,
                      size);
         // Huge accounting charges the user size to in_use, so the
@@ -2808,35 +2896,70 @@ class HoardAllocator final : public Allocator
         return static_cast<char*>(memory) + offset;
     }
 
+    /**
+     * Huge free, always timed when armed (free_huge).  A medium span
+     * goes to the span cache, which parks it or hands it back, plus
+     * any parked spans it sheds, to decommit here outside its lock; a
+     * larger span is unmapped.
+     */
     void
     deallocate_huge(Superblock* sb)
     {
-        // Always timed when armed; recorded as free_fast (a huge free
-        // is rare, and its munmap cost is genuine free-path latency —
-        // docs/OBSERVABILITY.md documents the attribution).
         [[maybe_unused]] std::uint64_t t0 = 0;
         if constexpr (Policy::kObsEnabled) {
             if (latency_ != nullptr)
                 t0 = Policy::cycle_timestamp();
         }
-        Policy::work(CostKind::os_map);
+        const bool medium = sb->span_bytes() <= spans_.max_span_bytes();
+        if (!medium)
+            Policy::work(CostKind::os_map);
         {
             HugeStripe& stripe = huge_stripe_for(sb);
             std::lock_guard<typename Policy::Mutex> guard(stripe.mutex);
             stripe.list.remove(sb);
         }
-        std::size_t user = sb->huge_user_bytes();
-        std::size_t total = sb->span_bytes();
         stats_.frees.add();
-        stats_.in_use_bytes.sub(user);
-        stats_.held_bytes.sub(total);
-        stats_.committed_bytes.sub(total);
-        sb->~Superblock();
-        provider_.unmap(sb, total);
+        stats_.in_use_bytes.sub(sb->huge_user_bytes());
+        if (medium) {
+            sb->close_free_window();
+            const auto out = spans_.release(sb);
+            if (out.freed == nullptr)
+                Policy::work(CostKind::list_op);
+            else
+                decommit_span(out.freed);
+            for (Superblock* victim = out.evicted; victim != nullptr;) {
+                Superblock* next =
+                    victim->cache_next.load(std::memory_order_relaxed);
+                decommit_span(victim);
+                victim = next;
+            }
+        } else {
+            const std::size_t total = sb->span_bytes();
+            stats_.held_bytes.sub(total);
+            stats_.committed_bytes.sub(total);
+            sb->~Superblock();
+            provider_.unmap(sb, total);
+        }
         if constexpr (Policy::kObsEnabled) {
             if (latency_ != nullptr)
-                latency_commit(obs::LatencyPath::free_fast, t0);
+                latency_commit(obs::LatencyPath::free_huge, t0);
         }
+    }
+
+    /** Decommits a medium span the span cache gave up: its pages go
+        back to the OS and the provider may hand its range out again.
+        Returns the span bytes. */
+    std::size_t
+    decommit_span(Superblock* sb)
+    {
+        Policy::work(CostKind::os_purge);
+        const std::size_t bytes = sb->span_bytes();
+        stats_.held_bytes.sub(bytes);
+        stats_.committed_bytes.sub(bytes);
+        stats_.medium_decommits.add();
+        sb->~Superblock();
+        provider_.unmap(sb, bytes);
+        return bytes;
     }
 
     /** Destructor support: unmaps every superblock still held. */
@@ -2868,6 +2991,8 @@ class HoardAllocator final : public Allocator
             while (Superblock* sb = stripe.list.pop_front())
                 unmap_superblock(sb);
         }
+        spans_.drain_unlocked(
+            [this](Superblock* sb) { unmap_superblock(sb); });
     }
 
     void
@@ -3066,6 +3191,11 @@ class HoardAllocator final : public Allocator
     /// Gauge time series; non-null only when tracing is enabled and
     /// Config::obs_sample_interval > 0.
     std::unique_ptr<obs::TimeSeriesSampler> sampler_;
+    /// Freed medium spans kept committed, and the bound on them.  Last,
+    /// so the small-object members keep their offsets.
+    SpanCache<Policy> spans_{
+        config_.superblock_bytes, config_.empty_fraction,
+        config_.slack_superblocks * config_.superblock_bytes};
 };
 
 }  // namespace hoard

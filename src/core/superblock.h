@@ -67,22 +67,24 @@ class Superblock
 
     /**
      * Formats @p memory as a dedicated superblock for one huge object of
-     * @p user_bytes; @p total_bytes is the full mapped span.
+     * @p user_bytes starting @p offset bytes into the span;
+     * @p span_bytes is the full mapped span.
      */
     static Superblock*
-    create_huge(void* memory, std::size_t total_bytes,
+    create_huge(void* memory, std::size_t span_bytes, std::size_t offset,
                 std::size_t user_bytes, std::uint32_t arena = 0)
     {
+        HOARD_DCHECK(offset >= header_bytes() &&
+                     offset + user_bytes <= span_bytes);
         auto* sb = new (memory) Superblock();
-        sb->span_bytes_ = total_bytes;
+        sb->span_bytes_ = span_bytes;
         sb->tag_ = tag_for(arena);
         sb->size_class_ = kHugeClass;
         sb->block_bytes_ = 0;
         sb->capacity_ = 1;
         sb->used_ = 1;
         sb->huge_user_bytes_ = user_bytes;
-        sb->window_lo_ = reinterpret_cast<std::uintptr_t>(memory) +
-                         (total_bytes - user_bytes);
+        sb->window_lo_ = reinterpret_cast<std::uintptr_t>(memory) + offset;
         sb->window_bytes_ = 1;
         return sb;
     }
@@ -237,6 +239,18 @@ class Superblock
 
     bool huge() const { return size_class_ == kHugeClass; }
     std::size_t huge_user_bytes() const { return huge_user_bytes_; }
+
+    /**
+     * A medium span's resident estimate (core/span_cache.h): the
+     * largest header + request it has served since it was last
+     * committed, so no byte past it can be dirty.  0 on other spans.
+     */
+    std::size_t resident_bytes() const { return resident_bytes_; }
+    void
+    set_resident_bytes(std::size_t bytes)
+    {
+        resident_bytes_ = static_cast<std::uint32_t>(bytes);
+    }
 
     /**
      * The header's magic word and arena id as one value: the tag of a
@@ -414,6 +428,15 @@ class Superblock
     }
 
     void close_free_window() { window_bytes_ = 0; }
+
+    /** True when @p addr is the object a huge span last held and the
+        span's window has closed: the span sits freed in the span cache,
+        so freeing @p addr again is a double free. */
+    bool
+    freed_huge_object(std::uintptr_t addr) const
+    {
+        return window_bytes_ == 0 && addr == window_lo_;
+    }
     /// @}
 
     /** First byte available for blocks. */
@@ -476,6 +499,7 @@ class Superblock
     std::uint32_t capacity_ = 0;
     std::uint32_t used_ = 0;
     std::uint32_t bump_ = 0;          ///< next never-allocated block index
+    std::uint32_t resident_bytes_ = 0;  ///< medium spans; in the padding
     void* free_list_ = nullptr;       ///< LIFO of freed blocks
     std::atomic<void*> owner_{nullptr};
     std::atomic<std::uint32_t> sampled_{0};  ///< live profiler samples

@@ -27,6 +27,10 @@ to_string(LatencyPath path)
         return "free_remote_push";
     case LatencyPath::owner_drain:
         return "owner_drain";
+    case LatencyPath::malloc_huge:
+        return "malloc_huge";
+    case LatencyPath::free_huge:
+        return "free_huge";
     }
     return "unknown";
 }

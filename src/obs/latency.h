@@ -48,23 +48,26 @@ namespace obs {
  * value is a *deeper* stage, so "deepest stage reached" is a running
  * max.  malloc_fast is a magazine hit (or, with magazines off, a
  * local-heap hit); free_fast is a magazine park or the owner-locked
- * free (huge frees land here too — rare, and their munmap cost is
- * real free-path latency).  owner_drain is recorded by the owner
- * settling its remote queue, nested inside whichever op visited the
- * lock.
+ * free.  owner_drain is recorded by the owner settling its remote
+ * queue, nested inside whichever op visited the lock.  Requests above
+ * S/2 never enter the staged paths: they land in malloc_huge and
+ * free_huge, whose costs (a span-cache hit or a map; a park, a
+ * decommit or an unmap) are a regime of their own.
  */
 enum class LatencyPath : std::uint8_t {
     malloc_fast = 0,       ///< magazine/local-heap hit
     malloc_refill,         ///< magazine refill from the owning heap
     malloc_global_fetch,   ///< refill reached the global bins/cache
-    malloc_fresh_map,      ///< mapped fresh memory (includes huge)
-    free_fast,             ///< magazine park / owner-locked free / huge
+    malloc_fresh_map,      ///< mapped a fresh superblock
+    free_fast,             ///< magazine park / owner-locked free
     free_spill,            ///< full magazine spilled a batch
     free_remote_push,      ///< busy owner; lock-free remote push
     owner_drain,           ///< owner settled its remote queue
+    malloc_huge,           ///< > S/2: span cache hit or a mapped span
+    free_huge,             ///< > S/2: span parked, decommitted or unmapped
 };
 
-constexpr int kLatencyPathCount = 8;
+constexpr int kLatencyPathCount = 10;
 
 /** Stable lowercase name for exports ("malloc_fast", ...). */
 const char* to_string(LatencyPath path);

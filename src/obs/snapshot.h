@@ -150,6 +150,8 @@ struct StatsSummary
     std::uint64_t huge_allocs = 0;
     std::uint64_t huge_cache_releases = 0;  ///< cache empties the huge
                                             ///< path unmapped first
+    std::uint64_t medium_reuses = 0;     ///< span-cache hits
+    std::uint64_t medium_decommits = 0;  ///< medium spans decommitted
     std::uint64_t oom_reclaims = 0;
     std::uint64_t oom_failures = 0;
     std::uint64_t remote_frees = 0;
@@ -191,6 +193,8 @@ struct AllocatorSnapshot
     std::uint64_t huge_count = 0;
     std::uint64_t huge_user_bytes = 0;
     std::uint64_t huge_span_bytes = 0;
+    std::uint64_t parked_count = 0;       ///< medium spans in the span cache
+    std::uint64_t parked_span_bytes = 0;  ///< held and committed, not in use
     std::uint64_t cached_bytes = 0;  ///< thread-cache occupancy
     /// @}
 
@@ -240,7 +244,7 @@ struct AllocatorSnapshot
      * heaps never saw those frees), while the in_use gauge does not, so:
      *
      *   sum(u_i) + huge_user == in_use_bytes + cached_bytes
-     *   sum(a_i) + huge_span == held_bytes
+     *   sum(a_i) + huge_span + parked_span == held_bytes
      *   committed_bytes + purged_bytes == held_bytes
      *
      * The third line is the virtual-memory split: every held byte is
@@ -252,7 +256,8 @@ struct AllocatorSnapshot
     {
         return sum_in_use() + huge_user_bytes ==
                    stats.in_use_bytes + cached_bytes &&
-               sum_held() + huge_span_bytes == stats.held_bytes &&
+               sum_held() + huge_span_bytes + parked_span_bytes ==
+                   stats.held_bytes &&
                stats.committed_bytes + stats.purged_bytes ==
                    stats.held_bytes;
     }

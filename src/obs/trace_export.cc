@@ -432,6 +432,13 @@ write_prometheus(std::ostream& os, const AllocatorSnapshot& snap)
                 "it mapped");
     os << "hoard_huge_cache_releases_total " << s.huge_cache_releases
        << '\n';
+    prom_header(os, "hoard_medium_reuses_total", "counter",
+                "medium allocations served by a parked span");
+    os << "hoard_medium_reuses_total " << s.medium_reuses << '\n';
+    prom_header(os, "hoard_medium_decommits_total", "counter",
+                "medium spans decommitted by free, eviction, purge or "
+                "reclaim");
+    os << "hoard_medium_decommits_total " << s.medium_decommits << '\n';
     prom_header(os, "hoard_bad_free_wild_total", "counter",
                 "frees of pointers outside any superblock");
     os << "hoard_bad_free_wild_total " << s.bad_free_wild << '\n';
@@ -460,13 +467,16 @@ write_human(std::ostream& os, const AllocatorSnapshot& snap)
        << snap.stats.purged_bytes << " reserved "
        << snap.stats.reserved_bytes << " cached " << snap.cached_bytes
        << " huge " << snap.huge_count << " (" << snap.huge_user_bytes
-       << "/" << snap.huge_span_bytes << " B)\n";
+       << "/" << snap.huge_span_bytes << " B) parked "
+       << snap.parked_count << " (" << snap.parked_span_bytes << " B)\n";
     os << "  slow path: transfers " << snap.stats.superblock_transfers
        << " fetches " << snap.stats.global_fetches << " (bin hits "
        << snap.stats.global_bin_hits << " misses "
        << snap.stats.global_bin_misses << "), cache pushes "
        << snap.stats.cache_pushes << " pops " << snap.stats.cache_pops
-       << ", huge give-backs " << snap.stats.huge_cache_releases << "\n";
+       << ", huge give-backs " << snap.stats.huge_cache_releases
+       << ", medium reuses " << snap.stats.medium_reuses
+       << " decommits " << snap.stats.medium_decommits << "\n";
     if (snap.stats.bad_free_wild + snap.stats.bad_free_foreign +
             snap.stats.bad_free_interior + snap.stats.bad_free_double !=
         0) {

@@ -7,6 +7,7 @@
 
 #include <cerrno>
 #include <cstdio>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -14,7 +15,10 @@
 #include <thread>
 #include <vector>
 
+#include "core/span_cache.h"
+#include "core/superblock.h"
 #include "os/reserved_arena.h"
+#include "tests/core/span_cache_util.h"
 
 namespace hoard {
 namespace {
@@ -92,12 +96,69 @@ TEST(Facade, CallocHugeIsZeroed)
     hoard_free(p);
 }
 
+/**
+ * Dirties a medium buffer of @p bytes, frees it into the span cache,
+ * and checks that calloc of the same size gets that very span back
+ * (so the test sees recycled memory, not a fresh map) with every byte
+ * zero.
+ */
+void
+expect_recycled_calloc_zeroed(std::size_t bytes)
+{
+    std::vector<void*> live = testing_util::prime_span_cache(
+        hoard_malloc, hoard_free, [] { hoard_release_free_memory(); });
+    auto* p = static_cast<unsigned char*>(hoard_malloc(bytes));
+    ASSERT_NE(p, nullptr);
+    std::memset(p, 0xee, bytes);
+    hoard_free(p);
+    auto* q = static_cast<unsigned char*>(hoard_calloc(1, bytes));
+    ASSERT_EQ(q, p) << "the span was not recycled";
+    for (std::size_t i = 0; i < bytes; ++i)
+        ASSERT_EQ(q[i], 0u) << "byte " << i;
+    hoard_free(q);
+    for (void* l : live)
+        hoard_free(l);
+}
+
+TEST(Facade, TinyAlignedRequestsHonourSixteenBytes)
+{
+    // A 1-byte request fits the 8-byte class, which is only 8-aligned;
+    // asking for 16 must still get 16.
+    std::vector<void*> blocks;
+    for (int i = 0; i < 8; ++i) {
+        void* p = nullptr;
+        ASSERT_EQ(hoard_posix_memalign(&p, 16, 1), 0);
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 16, 0u);
+        blocks.push_back(p);
+        void* q = hoard_aligned_alloc(16, 1);
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(q) % 16, 0u);
+        blocks.push_back(q);
+    }
+    for (void* p : blocks)
+        hoard_free(p);
+}
+
+TEST(Facade, CallocRecycled5KiBSpanIsZeroed)
+{
+    expect_recycled_calloc_zeroed(std::size_t{5} << 10);
+}
+
+TEST(Facade, CallocRecycled32KiBSpanIsZeroed)
+{
+    expect_recycled_calloc_zeroed(std::size_t{32} << 10);
+}
+
+TEST(Facade, CallocRecycledTopMediumClassSpanIsZeroed)
+{
+    // The largest request whose span (header included) is the ceiling.
+    expect_recycled_calloc_zeroed(SpanCache<NativePolicy>::kCeilingBytes -
+                                  Superblock::header_bytes());
+}
+
 TEST(Facade, CallocRecycledHugeSpanIsZeroed)
 {
-    // The huge path skips calloc's memset.  ReservedArenaProvider
-    // recycles freed huge spans, so this holds only because every huge
-    // free decommits its span and the reused span refaults as zero
-    // pages.  A huge free that kept its span committed breaks this.
+    // Above the span cache's ceiling every free decommits its span, so
+    // a reused span refaults as zero pages and calloc skips the memset.
     const std::size_t bytes = 256 * 1024;
     auto* p = static_cast<unsigned char*>(hoard_malloc(bytes));
     ASSERT_NE(p, nullptr);

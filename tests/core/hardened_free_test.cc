@@ -18,6 +18,7 @@
 #include "core/hoard_allocator.h"
 #include "core/superblock.h"
 #include "policy/native_policy.h"
+#include "tests/core/span_cache_util.h"
 
 namespace hoard {
 namespace {
@@ -171,6 +172,43 @@ TEST(HardenedFree, FreeIntoAReuseCachedSpanIsDouble)
         allocator.deallocate(p);
     EXPECT_EQ(bad_free_total(allocator.stats()), 1u);
     EXPECT_TRUE(allocator.check_invariants());
+}
+
+TEST(HardenedFree, MediumDoubleFreeIsReportedDouble)
+{
+    HoardAllocator<NativePolicy> allocator(warn_config());
+    std::vector<void*> live = testing_util::prime_span_cache(
+        [&allocator](std::size_t n) { return allocator.allocate(n); },
+        [&allocator](void* p) { allocator.deallocate(p); },
+        [&allocator] { allocator.release_free_memory(); });
+    void* p = allocator.allocate(std::size_t{32} << 10);
+    ASSERT_NE(p, nullptr);
+    allocator.deallocate(p);
+    ASSERT_EQ(allocator.span_cache().parked_count(), 1u);
+
+    // The span sits parked with its header intact and its window
+    // closed: a second free of the object is a double free.
+    const std::uint64_t frees = allocator.stats().frees.get();
+    allocator.deallocate(p);
+    EXPECT_EQ(allocator.stats().bad_free_double.get(), 1u);
+    EXPECT_EQ(allocator.stats().frees.get(), frees);
+    allocator.deallocate(static_cast<char*>(p) + 64);
+    EXPECT_EQ(allocator.stats().bad_free_interior.get(), 1u);
+    EXPECT_EQ(allocator.span_cache().parked_count(), 1u);
+
+    // Once the span is decommitted its header page reads zero, so a
+    // stale free is still rejected (not a superblock: wild).
+    allocator.release_free_memory();
+    ASSERT_EQ(allocator.span_cache().parked_count(), 0u);
+    allocator.deallocate(p);
+    EXPECT_EQ(allocator.stats().bad_free_wild.get(), 1u);
+    EXPECT_EQ(bad_free_total(allocator.stats()), 3u);
+    EXPECT_EQ(allocator.stats().frees.get(), frees);
+
+    for (void* l : live)
+        allocator.deallocate(l);
+    EXPECT_EQ(allocator.stats().in_use_bytes.current(), 0u);
+    EXPECT_TRUE(allocator.take_snapshot().reconciles());
 }
 
 TEST(HardenedFree, BlockInteriorPointerStillFrees)

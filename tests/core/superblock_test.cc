@@ -198,7 +198,8 @@ TEST_F(SuperblockTest, OwnerRoundTrips)
 TEST_F(SuperblockTest, HugeSuperblock)
 {
     void* mem = provider_.map(kS * 3, kS);
-    Superblock* sb = Superblock::create_huge(mem, kS * 3, 20000);
+    Superblock* sb = Superblock::create_huge(
+        mem, kS * 3, Superblock::header_bytes(), 20000);
     EXPECT_TRUE(sb->huge());
     EXPECT_EQ(sb->huge_user_bytes(), 20000u);
     EXPECT_EQ(sb->span_bytes(), kS * 3);

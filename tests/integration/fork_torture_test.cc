@@ -71,7 +71,8 @@ child_verdict()
 }
 
 /** Allocation churn that keeps the allocator's locks hot while the
-    main or a sibling thread forks. */
+    main or a sibling thread forks.  One allocation in 16 is medium, so
+    spans move in and out of the span cache across the fork too. */
 void
 churn(std::atomic<bool>& stop, int tid)
 {
@@ -85,7 +86,10 @@ churn(std::atomic<bool>& stop, int tid)
             hoard_free(slots[slot]);
             slots[slot] = nullptr;
         } else {
-            slots[slot] = hoard_malloc((rng >> 33) % 2048 + 1);
+            const std::size_t n = (rng >> 60) == 0
+                                      ? 4096 + (rng >> 33) % (60 << 10)
+                                      : (rng >> 33) % 2048 + 1;
+            slots[slot] = hoard_malloc(n);
         }
     }
     for (void* p : slots)

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "core/hoard_allocator.h"
 #include "obs/event_ring.h"
@@ -60,12 +61,12 @@ check_reconciles(const obs::AllocatorSnapshot& snap)
     std::uint64_t malloc_ops = 0, free_ops = 0;
     for (LatencyPath p :
          {LatencyPath::malloc_fast, LatencyPath::malloc_refill,
-          LatencyPath::malloc_global_fetch,
-          LatencyPath::malloc_fresh_map})
+          LatencyPath::malloc_global_fetch, LatencyPath::malloc_fresh_map,
+          LatencyPath::malloc_huge})
         malloc_ops += snap.latency.path(p).count();
     for (LatencyPath p :
          {LatencyPath::free_fast, LatencyPath::free_spill,
-          LatencyPath::free_remote_push})
+          LatencyPath::free_remote_push, LatencyPath::free_huge})
         free_ops += snap.latency.path(p).count();
 
     EXPECT_EQ(malloc_ops, snap.stats.allocs);
@@ -106,6 +107,33 @@ TEST(LatencyWorld, NativeLarsonReconciles)
     EXPECT_GT(snap.latency.path(obs::LatencyPath::malloc_fresh_map)
                   .sum(),
               0u);
+}
+
+TEST(LatencyWorld, HugeOpsLandInTheirOwnPaths)
+{
+    if (!obs::kCompiledIn)
+        GTEST_SKIP() << "observability compiled out (HOARD_OBS=OFF)";
+
+    Config config;
+    config.heap_count = 1;
+    config.latency_histograms = true;
+    config.latency_sample_period = 1;
+    HoardAllocator<NativePolicy> allocator(config);
+    // Medium spans (mapped, then recycled) and one above the span
+    // cache's ceiling: none of them is a superblock map or a fast free.
+    std::vector<void*> spans;
+    for (std::size_t bytes : {std::size_t{5000}, std::size_t{40000},
+                              std::size_t{40000}, std::size_t{1} << 20})
+        spans.push_back(allocator.allocate(bytes));
+    for (void* p : spans)
+        allocator.deallocate(p);
+
+    using obs::LatencyPath;
+    const obs::AllocatorSnapshot snap = allocator.take_snapshot();
+    EXPECT_EQ(snap.latency.path(LatencyPath::malloc_huge).count(), 4u);
+    EXPECT_EQ(snap.latency.path(LatencyPath::free_huge).count(), 4u);
+    EXPECT_EQ(snap.latency.path(LatencyPath::malloc_fresh_map).count(), 0u);
+    EXPECT_EQ(snap.latency.path(LatencyPath::free_fast).count(), 0u);
 }
 
 TEST(LatencyWorld, NativeDisarmedByDefault)

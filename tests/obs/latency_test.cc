@@ -414,6 +414,8 @@ TEST(LatencyPathTest, NamesAreStable)
     EXPECT_STREQ(to_string(LatencyPath::free_remote_push),
                  "free_remote_push");
     EXPECT_STREQ(to_string(LatencyPath::owner_drain), "owner_drain");
+    EXPECT_STREQ(to_string(LatencyPath::malloc_huge), "malloc_huge");
+    EXPECT_STREQ(to_string(LatencyPath::free_huge), "free_huge");
 }
 
 TEST(LatencyProbeTest, DeepestStageWins)

@@ -100,8 +100,8 @@ TEST(AllocatorSnapshot, SumsAndReconciliation)
     EXPECT_EQ(snap.sum_held(), 6000u);
 
     // Identities: sum(u)+huge_user == in_use+cached,
-    //             sum(a)+huge_span == held, and the virtual-memory
-    //             ledger committed + purged == held.
+    //             sum(a)+huge_span+parked_span == held, and the
+    //             virtual-memory ledger committed + purged == held.
     snap.huge_user_bytes = 50;
     snap.huge_span_bytes = 64;
     snap.cached_bytes = 40;
@@ -119,6 +119,14 @@ TEST(AllocatorSnapshot, SumsAndReconciliation)
     snap.stats.held_bytes = 6064;
     snap.stats.purged_bytes = 63;  // a lost purged byte breaks it too
     EXPECT_FALSE(snap.reconciles());
+    snap.stats.purged_bytes = 64;
+
+    // Parked medium spans are held and committed but not in use.
+    snap.parked_span_bytes = 5120;
+    EXPECT_FALSE(snap.reconciles());
+    snap.stats.held_bytes += 5120;
+    snap.stats.committed_bytes += 5120;
+    EXPECT_TRUE(snap.reconciles());
 }
 
 TEST(AllocatorSnapshot, InvariantScanCoversEveryHeap)

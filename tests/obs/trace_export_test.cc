@@ -63,6 +63,8 @@ sample_snapshot()
     snap.stats.in_use_bytes = 3000;
     snap.stats.held_bytes = 24576;
     snap.stats.huge_cache_releases = 5;
+    snap.stats.medium_reuses = 6;
+    snap.stats.medium_decommits = 7;
     return snap;
 }
 
@@ -155,6 +157,9 @@ TEST(Prometheus, EmitsWellFormedExposition)
     EXPECT_NE(out.find("hoard_in_use_bytes 3000"), std::string::npos);
     EXPECT_NE(out.find("hoard_held_bytes 24576"), std::string::npos);
     EXPECT_NE(out.find("hoard_huge_cache_releases_total 5"),
+              std::string::npos);
+    EXPECT_NE(out.find("hoard_medium_reuses_total 6"), std::string::npos);
+    EXPECT_NE(out.find("hoard_medium_decommits_total 7"),
               std::string::npos);
 
     // Exposition format: no tabs, every non-empty line is either a
