@@ -12,8 +12,8 @@
  * shed again.  This bench sweeps N on the virtual multiprocessor
  * (threadtest and larson makespans at P=8, global-heap bin-lock
  * traffic) and on the native build (fetch/transfer counter totals),
- * with `release_threshold = empty_fraction` so superblocks actually
- * migrate through the global heap instead of idling in band 0.
+ * with `release_threshold = empty_fraction` so partial superblocks
+ * actually migrate through the global heap.
  */
 
 #include <iostream>

@@ -109,11 +109,11 @@ time_pairs(AllocatorT& allocator, std::size_t pairs)
 
 /**
  * ns per alloc/free pair on the huge-object path (above the largest
- * size class, so every pair maps and unmaps a dedicated span and
- * registers in the striped huge list).  Regression guard for the
- * slow-path sharding work: huge registration must cost only a striped
- * lock — uninstrumented and compiled-in-but-disabled builds have to
- * stay within the same overhead budget as the malloc hot path.
+ * size class, so every pair takes a dedicated span and registers it in
+ * the span cache).  Regression guard for the slow path: huge
+ * registration must cost only the span cache's lock — uninstrumented
+ * and compiled-in-but-disabled builds have to stay within the same
+ * overhead budget as the malloc hot path.
  */
 template <typename AllocatorT>
 double

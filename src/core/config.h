@@ -15,9 +15,12 @@
  * magazines off.  The paper's parameters
  * (S, f, K, t), the global fetch batch and the magazine sizes each
  * have an ablation bench (bench/abl_*.cc, DESIGN.md §6), and macro_rss
- * compares the purge pass against retention.  The observability,
- * profiler, latency and hardening knobs are not swept: they gate
- * instrumentation and checks, and micro_obs_overhead prices them.
+ * compares the purge pass against retention.  Completely-empty
+ * superblocks have no count limit, as in the paper: the global heap's
+ * reuse cache keeps every one, the purge pass decommits idle ones, and
+ * release_free_memory() unmaps them.  The observability, profiler,
+ * latency and hardening knobs are not swept: they gate instrumentation
+ * and checks, and micro_obs_overhead prices them.
  */
 
 #ifndef HOARD_CORE_CONFIG_H_
@@ -25,7 +28,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 
 namespace hoard {
 
@@ -88,13 +90,6 @@ struct Config
      * additional).  Threads map to heap 1 + (tid mod P).
      */
     int heap_count = 16;
-
-    /**
-     * Completely-empty superblocks the global heap caches before
-     * returning memory to the OS.  The paper's Hoard retains them; set a
-     * finite limit to trade fragmentation for syscalls (ABL benches).
-     */
-    std::size_t empty_cache_limit = std::numeric_limits<std::size_t>::max();
 
     /**
      * Superblocks a cold per-processor heap may pull from its size
@@ -255,12 +250,12 @@ struct Config
     /**
      * Age threshold for the purge pass, in policy time (steady-clock
      * nanoseconds under NativePolicy, virtual cycles under SimPolicy):
-     * an empty superblock idle in the reuse cache or a global band-0
-     * bin for at least this long has its payload pages decommitted
-     * (madvise) while the span stays mapped and formatted for O(1)
-     * revival.  0 (the default) means age alone never triggers a
-     * purge.  The purge pass is armed when this or rss_target_bytes is
-     * nonzero; HOARD_PURGE_AGE under the facade.
+     * an empty superblock idle in the reuse cache for at least this
+     * long has its payload pages decommitted (madvise) while the span
+     * stays mapped and formatted for O(1) revival.  0 (the default)
+     * means age alone never triggers a purge.  The purge pass is armed
+     * when this or rss_target_bytes is nonzero; HOARD_PURGE_AGE under
+     * the facade.
      */
     std::uint64_t purge_age_ticks = 0;
 

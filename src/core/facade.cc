@@ -137,21 +137,34 @@ hoard_realloc(void* p, std::size_t size)
 void*
 hoard_aligned_alloc(std::size_t align, std::size_t size)
 {
-    return global_allocator().allocate_aligned(size == 0 ? 1 : size,
-                                               align);
+    // The one place the alignment limit is decided.  An alignment of S
+    // or more cannot be served: the object would start S-aligned,
+    // exactly where the free path's mask looks for its header.  That is
+    // a request the allocator cannot meet, not a malformed one, so it
+    // fails like exhaustion.
+    if (!detail::is_pow2(align)) {
+        errno = EINVAL;
+        return nullptr;
+    }
+    HoardAllocator<NativePolicy>& allocator = global_allocator();
+    void* p = align > allocator.config().superblock_bytes / 2
+                  ? nullptr
+                  : allocator.allocate_aligned(size == 0 ? 1 : size, align);
+    if (p == nullptr)
+        errno = ENOMEM;
+    return p;
 }
 
 int
 hoard_posix_memalign(void** out, std::size_t align, std::size_t size)
 {
-    if (out == nullptr)
+    // POSIX keeps EINVAL for an alignment that is not a power-of-two
+    // multiple of sizeof(void*); one the allocator cannot serve is
+    // ENOMEM, as from hoard_aligned_alloc.
+    if (out == nullptr || !detail::is_pow2(align) ||
+        align % sizeof(void*) != 0)
         return EINVAL;
-    if (!detail::is_pow2(align) || align % sizeof(void*) != 0 ||
-        align > global_allocator().config().superblock_bytes / 2) {
-        return EINVAL;
-    }
-    void* p = global_allocator().allocate_aligned(size == 0 ? 1 : size,
-                                                  align);
+    void* p = hoard_aligned_alloc(align, size);
     if (p == nullptr)
         return ENOMEM;
     *out = p;
@@ -200,19 +213,23 @@ namespace {
  * Fork lock order (outermost first): the magazine liveness registry —
  * exit flushes hold it around pinning and can precede heap locks —
  * then every lock of the global instance (HoardAllocator::
- * prepare_fork documents its internal order).  Parent unlocks in
- * reverse; the child also repairs torn state (child_after_fork).
+ * prepare_fork documents its internal order), then its page
+ * provider's (arena growth and the span-node pool), which maps and
+ * unmaps take under heap locks.  Parent and child unlock in reverse;
+ * the child also repairs torn state (child_after_fork), which may map.
  */
 void
 fork_prepare()
 {
     detail::magazine_registry_prepare_fork();
     global_allocator().prepare_fork();
+    os::default_page_provider().prepare_fork();
 }
 
 void
 fork_parent()
 {
+    os::default_page_provider().after_fork();
     global_allocator().parent_after_fork();
     detail::magazine_registry_parent_after_fork();
 }
@@ -220,6 +237,7 @@ fork_parent()
 void
 fork_child()
 {
+    os::default_page_provider().after_fork();
     global_allocator().child_after_fork();
     detail::magazine_registry_child_after_fork();
     detail::stat_shards_child_after_fork();

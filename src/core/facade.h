@@ -36,13 +36,18 @@ void* hoard_calloc(std::size_t count, std::size_t size);
 /** realloc with malloc-compatible edge cases. */
 void* hoard_realloc(void* p, std::size_t size);
 
-/** aligned allocation; @p align must be a power of two <= S/2. */
+/**
+ * aligned allocation: nullptr with errno EINVAL when @p align is not a
+ * power of two, and with ENOMEM when it exceeds S/2 (an object aligned
+ * to S would sit where the free path looks for its header) or memory
+ * is exhausted.
+ */
 void* hoard_aligned_alloc(std::size_t align, std::size_t size);
 
 /**
  * POSIX-style aligned allocation: stores the block in *out and returns
- * 0, or EINVAL for a bad alignment (not a power of two, not a multiple
- * of sizeof(void*), or beyond S/2) and ENOMEM on exhaustion.
+ * 0, EINVAL for a bad alignment (not a power of two, or not a multiple
+ * of sizeof(void*)), or ENOMEM for one beyond S/2 and on exhaustion.
  */
 int hoard_posix_memalign(void** out, std::size_t align, std::size_t size);
 
@@ -81,9 +86,10 @@ std::size_t hoard_purged_bytes();
 /**
  * Registers pthread_atfork handlers that make the global instance
  * fork-safe in a multithreaded parent: the prepare handler acquires
- * the magazine liveness registry and then every allocator lock in a
- * fixed total order, so the child never inherits a lock frozen in a
- * half-held state; the child handler additionally resets the reuse
+ * the magazine liveness registry, every allocator lock in a fixed
+ * total order, and then the page provider's locks, so the child never
+ * inherits a lock frozen in a half-held state; the child handler
+ * additionally resets the reuse
  * cache's popper protocol and recounts the gauges (docs/SHIM.md).
  * Idempotent — only the first call registers.  Forces construction of
  * the global instance, so call it early (the LD_PRELOAD shim does, in

@@ -206,13 +206,13 @@ struct HoardHeap : HeapBase<Policy>
 };
 
 /**
- * One shard of the global heap: the superblocks of a single size class,
- * under their own lock.  fetch_from_global and maybe_release_superblock
- * for different classes therefore never contend.  A superblock that
- * empties *inside* its bin stays there (band 0), still formatted for
- * the class, so the next same-class fetch skips the re-carve; empties
- * arriving from per-processor heaps go to the lock-free cross-class
- * reuse cache instead, where any class can claim them.
+ * One shard of the global heap: the partial superblocks of a single
+ * size class, under their own lock.  fetch_from_global and
+ * maybe_release_superblock for different classes therefore never
+ * contend.  Bins hold no empty superblock: one that empties inside its
+ * bin leaves for the lock-free reuse cache, like empties arriving from
+ * per-processor heaps, and the cache's stack for its class hands it
+ * back still formatted, so a same-class fetch skips the re-carve.
  */
 template <typename Policy>
 struct GlobalBin : HeapBase<Policy>

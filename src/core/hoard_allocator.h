@@ -15,16 +15,16 @@
  * expected synchronization per operation constant.
  *
  * The global heap itself is *sharded* (the scalloc direction — global
- * structures must scale too, PAPERS.md): one GlobalBin per size class,
- * each with its own lock and an approximate occupancy counter so
- * fetchers skip empty classes without locking; a lock-free Treiber
- * cache (superblock_cache.h) holds the completely-empty superblocks
- * any class may claim; transfers and fetches move superblocks in
- * batches (Config::global_fetch_batch) so one lock round trip lands or
- * pulls several; and the huge-object list is striped across
- * kHugeStripes locks.  Together heap 0 is a logical construct — u_0 /
- * a_0 are sums over the bins plus the cache — and no single mutex
- * serializes the slow path.
+ * structures must scale too, PAPERS.md): one GlobalBin per size class
+ * holds that class's partial superblocks, each bin with its own lock
+ * and an approximate occupancy counter so fetchers skip empty classes
+ * without locking; a lock-free Treiber cache (superblock_cache.h),
+ * keyed by class, holds every completely-empty superblock, wherever it
+ * emptied; transfers and fetches move superblocks in batches
+ * (Config::global_fetch_batch) so one lock round trip lands or pulls
+ * several.  Together heap 0 is a logical construct — u_0 / a_0 are
+ * sums over the bins plus the cache — and no single mutex serializes
+ * the slow path.
  *
  * The class is templated on an execution policy (NativePolicy /
  * SimPolicy) so the identical algorithm runs under real threads and on
@@ -53,18 +53,19 @@
  * writes.  Only the slow paths (fetch, transfer, map, purge) move
  * shared gauges.
  *
- * Huge objects (> S/2) get a dedicated span.  Medium ones, whose span
- * is at most SpanCache::kCeilingBytes, round up to one of four classes
- * per octave, and a freed medium span stays committed in the span cache
- * (span_cache.h) as far as the emptiness invariant and the medium
- * in-use high-water mark allow; the next request of its class takes it
- * back with no syscall and no page fault.  A span that maps afresh first
- * gives back the reuse cache's surplus empty superblocks, up to the
- * span's size, so a program that drops a small-object working set and
- * then maps large buffers does not hold both.  Surplus is what lies
- * above a reserve that grows each time a small class has to map afresh
- * after such a give-back, so small classes that cycle empties through
- * the cache keep them.
+ * Huge objects (> S/2) get a dedicated span, registered live in the
+ * span cache (span_cache.h), which owns every such span under one
+ * lock.  Medium ones, whose span is at most SpanCache::kCeilingBytes,
+ * round up to one of four classes per octave, and a freed medium span
+ * stays committed in the span cache as far as the emptiness invariant
+ * and the medium in-use high-water mark allow; the next request of its
+ * class takes it back with no syscall and no page fault.  A span that
+ * maps afresh first gives back the reuse cache's surplus empty
+ * superblocks, up to the span's size, so a program that drops a
+ * small-object working set and then maps large buffers does not hold
+ * both.  Surplus is what lies above a reserve that grows each time a
+ * small class has to map afresh after such a give-back, so small
+ * classes that cycle empties through the cache keep them.
  */
 
 #ifndef HOARD_CORE_HOARD_ALLOCATOR_H_
@@ -78,7 +79,6 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -131,9 +131,6 @@ class HoardAllocator final : public Allocator
     using Heap = HoardHeap<Policy>;
     using Base = HeapBase<Policy>;
     using Bin = GlobalBin<Policy>;
-
-    /** Lock stripes for the huge-object list. Power of two. */
-    static constexpr std::size_t kHugeStripes = 8;
 
     explicit HoardAllocator(
         const Config& config = Config(),
@@ -280,8 +277,8 @@ class HoardAllocator final : public Allocator
             return;
         }
         // Read before freeing: once free_block lands the block, the
-        // emptied superblock can be unmapped (empty_cache_limit) and
-        // sb must not be dereferenced again.
+        // emptied superblock can be retired to the reuse cache and
+        // reformatted by another thread, so sb must not be read again.
         const std::size_t block_bytes = sb->block_bytes();
         if (detail::MagazineNode* node = my_magazines()) {
             void* block = sb->block_start(p);
@@ -403,7 +400,7 @@ class HoardAllocator final : public Allocator
      * Best-effort memory release back to the OS: flushes the calling
      * thread's own magazines, settles every remote-free queue, then
      * unmaps every completely-empty superblock from every heap
-     * (including the global heap's empty cache) and decommits every
+     * (including the global heap's reuse cache) and decommits every
      * parked medium span.  Returns the bytes given back.  This is the
      * reclaim step of the OOM retry path and doubles as a
      * malloc_trim-style API for long-running servers
@@ -440,25 +437,6 @@ class HoardAllocator final : public Allocator
                 }
             }
         }
-        // Global bins retain their own class's empties in band 0;
-        // scavenge those before draining the cross-class cache.
-        for (auto& bin_ptr : global_bins_) {
-            Bin& bin = *bin_ptr;
-            std::lock_guard<typename Bin::Mutex> guard(bin.mutex);
-            auto& group = bin.groups[0];
-            Superblock* sb = group.front();
-            while (sb != nullptr) {
-                Superblock* next = group.next(sb);
-                if (sb->empty()) {
-                    bin.unlink(sb, 0);
-                    bin.held -= sb->span_bytes();
-                    bin_empties_.fetch_sub(1,
-                                           std::memory_order_relaxed);
-                    released += release_to_provider(sb);
-                }
-                sb = next;
-            }
-        }
         Superblock* chain = reuse_cache_.drain();
         while (chain != nullptr) {
             Superblock* next =
@@ -474,9 +452,9 @@ class HoardAllocator final : public Allocator
 
     /**
      * Purge pass: decommits the payload pages of idle completely-empty
-     * superblocks (the reuse cache plus the global bins' retained
-     * band-0 empties) via the provider's purge(), keeping each span
-     * mapped and its header formatted for O(1) revival, and decommits
+     * superblocks (the reuse cache holds them all) via the provider's
+     * purge(), keeping each span mapped and its header formatted for
+     * O(1) revival, and decommits
      * eligible parked medium spans outright, oldest first.  Milder than
      * release_free_memory() — nothing is unmapped, the next same-class
      * fetch costs one unpurge() gauge move instead of a map syscall.
@@ -485,8 +463,8 @@ class HoardAllocator final : public Allocator
      * committed_bytes must still exceed Config::rss_target_bytes
      * (re-read per superblock, so targeting stops at the line).
      * Serialized by purge_mutex_; safe against concurrent allocation
-     * (cache entries are detached while marked, bin entries are marked
-     * under their bin's lock).  Returns the bytes decommitted.
+     * (cache entries are detached while marked).  Returns the bytes
+     * decommitted.
      */
     std::size_t
     purge(bool force = false)
@@ -506,10 +484,10 @@ class HoardAllocator final : public Allocator
                        config_.rss_target_bytes;
         };
         std::size_t released = 0;
-        // The cross-class reuse cache: detach everything (so no popper
-        // can adopt a half-purged span), purge the eligible, push all
-        // back.  Pushing re-publishes purged spans; the fetch path
-        // revives them before first use.
+        // The reuse cache: detach everything (so no popper can adopt a
+        // half-purged span), purge the eligible, push all back.
+        // Pushing re-publishes purged spans; the fetch path revives
+        // them before first use.
         Superblock* chain = reuse_cache_.drain();
         while (chain != nullptr) {
             Superblock* next =
@@ -518,19 +496,6 @@ class HoardAllocator final : public Allocator
                 released += purge_superblock(chain);
             reuse_cache_.push(chain);
             chain = next;
-        }
-        // Class-retentive empties inside the global bins: band 0 only
-        // (the one band that can hold used == 0 spans), under each
-        // bin's own lock.
-        for (auto& bin_ptr : global_bins_) {
-            Bin& bin = *bin_ptr;
-            std::lock_guard<typename Bin::Mutex> bguard(bin.mutex);
-            auto& group = bin.groups[0];
-            for (Superblock* sb = group.front(); sb != nullptr;
-                 sb = group.next(sb)) {
-                if (sb->empty() && eligible(sb))
-                    released += purge_superblock(sb);
-            }
         }
         // Parked medium spans, oldest first: a span leaves the cache
         // whole, so its purge is the decommit a free would have made.
@@ -566,86 +531,6 @@ class HoardAllocator final : public Allocator
 
     /// @name Introspection for tests and tables.
     /// @{
-
-    /**
-     * Writes a human-readable report of every heap: u_i/a_i, the
-     * superblock population per size class with its fullness-group
-     * histogram, the global empty cache, and thread-cache occupancy.
-     * Takes each heap's lock briefly; intended for quiesced moments or
-     * operator diagnostics, not hot paths.
-     */
-    void
-    dump(std::ostream& os)
-    {
-        os << "HoardAllocator S=" << config_.superblock_bytes
-           << " f=" << config_.empty_fraction
-           << " K=" << config_.slack_superblocks
-           << " t=" << config_.release_threshold
-           << " P=" << config_.heap_count << "\n";
-        os << "  heap 0 (global): in-use " << heap_in_use(0) << " held "
-           << heap_held(0) << " empty-cached " << reuse_cache_.size()
-           << "\n";
-        for (auto& bin_ptr : global_bins_) {
-            Bin& bin = *bin_ptr;
-            std::lock_guard<typename Bin::Mutex> guard(bin.mutex);
-            std::size_t count = 0;
-            for (auto& group : bin.groups)
-                count += group.size();
-            if (count == 0)
-                continue;
-            os << "    bin " << bin.size_class << " ("
-               << classes_.block_size(bin.size_class) << " B): " << count
-               << " superblock(s), groups [";
-            for (int g = 0; g < Superblock::kGroupCount; ++g) {
-                if (g != 0)
-                    os << ' ';
-                os << bin.groups[g].size();
-            }
-            os << "]\n";
-        }
-        for (auto& heap_ptr : heaps_) {
-            Heap& heap = *heap_ptr;
-            std::lock_guard<typename Heap::Mutex> guard(heap.mutex);
-            os << "  heap " << heap.index << ": in-use " << heap.in_use
-               << " held " << heap.held << "\n";
-            for (std::size_t cls = 0; cls < heap.bins.size(); ++cls) {
-                auto& bin = heap.bins[cls];
-                std::size_t count = 0;
-                for (auto& group : bin.groups)
-                    count += group.size();
-                if (count == 0)
-                    continue;
-                os << "    class " << cls << " ("
-                   << classes_.block_size(static_cast<int>(cls))
-                   << " B): " << count << " superblock(s), groups [";
-                for (int g = 0; g < Superblock::kGroupCount; ++g) {
-                    if (g != 0)
-                        os << ' ';
-                    os << bin.groups[g].size();
-                }
-                os << "]\n";
-            }
-        }
-        if (magazine_id_ != 0) {
-            std::size_t cached_blocks = 0;
-            std::size_t cached_bytes = 0;
-            {
-                std::lock_guard<typename Policy::Mutex> guard(
-                    cache_mutex_);
-                for (detail::MagazineNode* node = cache_nodes_;
-                     node != nullptr; node = node->next_in_set) {
-                    for (std::uint32_t c = 0; c < node->num_classes;
-                         ++c)
-                        cached_blocks += node->mags[c].count;
-                    cached_bytes += node->occupancy_bytes.load(
-                        std::memory_order_relaxed);
-                }
-            }
-            os << "  thread caches: " << cached_blocks << " block(s), "
-               << cached_bytes << " B\n";
-        }
-        os.flush();
-    }
 
     /** u_i of heap @p i (0 = global: summed over the per-class bins). */
     std::size_t
@@ -707,18 +592,15 @@ class HoardAllocator final : public Allocator
         drain_all_remote();
         for (auto& heap : heaps_)
             check_heap(*heap);
-        std::size_t bin_empties = 0;
         for (auto& bin : global_bins_)
-            bin_empties += check_bin(*bin);
-        HOARD_CHECK(bin_empties ==
-                    bin_empties_.load(std::memory_order_relaxed));
+            check_bin(*bin);
         return true;
     }
 
     /**
      * Structured snapshot of every heap: u_i/a_i, superblock population
      * per size class and fullness group, lock-contention profiles, the
-     * huge list, the parked medium spans, and a copy of the global
+     * live and parked huge spans, and a copy of the global
      * counters.  Available whether or not event tracing is enabled.
      * Takes each heap's lock briefly (one at a time, so concurrent
      * allocation stays safe); exact
@@ -827,15 +709,11 @@ class HoardAllocator final : public Allocator
         fill_global_snapshot(snap.heaps[0]);
         for (std::size_t i = 0; i < heaps_.size(); ++i)
             fill_heap_snapshot(*heaps_[i], snap.heaps[i + 1]);
-        for (auto& stripe : huge_stripes_) {
-            std::lock_guard<typename Policy::Mutex> guard(stripe.mutex);
-            for (Superblock* sb = stripe.list.front(); sb != nullptr;
-                 sb = stripe.list.next(sb)) {
-                ++snap.huge_count;
-                snap.huge_user_bytes += sb->huge_user_bytes();
-                snap.huge_span_bytes += sb->span_bytes();
-            }
-        }
+        spans_.for_each_live([&snap](const Superblock* sb) {
+            ++snap.huge_count;
+            snap.huge_user_bytes += sb->huge_user_bytes();
+            snap.huge_span_bytes += sb->span_bytes();
+        });
         spans_.for_each_parked([&snap](const Superblock* sb) {
             ++snap.parked_count;
             snap.parked_span_bytes += sb->span_bytes();
@@ -909,14 +787,14 @@ class HoardAllocator final : public Allocator
     /**
      * Acquires every lock this allocator owns, in a fixed total order
      * (cache mutex, then the purge mutex, then per-processor heaps by
-     * index, then global bins by class, then huge stripes by slot,
-     * then the span cache), so fork() snapshots no lock in a half-held
-     * state and no heap
+     * index, then global bins by class, then the span cache), so
+     * fork() snapshots no lock in a half-held state and no heap
      * structure mid-mutation.  The magazine registry's own lock is
      * taken by the caller (hoard_install_atfork) *before* this, since
-     * flushes can hold it while waiting on heap locks.
-     * MmapPageProvider and the reuse cache are lock-free and need no
-     * quiescing here.
+     * flushes can hold it while waiting on heap locks, and the page
+     * provider's locks *after* it, since maps and unmaps run under
+     * heap locks.  The reuse cache is lock-free and needs no quiescing
+     * here.
      */
     void
     prepare_fork()
@@ -927,8 +805,6 @@ class HoardAllocator final : public Allocator
             heap->mutex.lock();
         for (auto& bin : global_bins_)
             bin->mutex.lock();
-        for (auto& stripe : huge_stripes_)
-            stripe.mutex.lock();
         spans_.lock();
     }
 
@@ -937,8 +813,6 @@ class HoardAllocator final : public Allocator
     parent_after_fork()
     {
         spans_.unlock();
-        for (std::size_t i = kHugeStripes; i-- > 0;)
-            huge_stripes_[i].mutex.unlock();
         for (std::size_t i = global_bins_.size(); i-- > 0;)
             global_bins_[i]->mutex.unlock();
         for (std::size_t i = heaps_.size(); i-- > 0;)
@@ -2299,11 +2173,11 @@ class HoardAllocator final : public Allocator
      * child is single-threaded here, magazines are already flushed and
      * remote queues settled, so the sums are exact: in_use is heap u_i
      * plus bin u_i plus huge user bytes; held adds the reuse cache's
-     * and the span cache's spans, and the span cache's U is recounted
-     * from the live medium spans; committed is held minus whatever the
-     * purge pass has decommitted (summed span-by-span over the only two
-     * places purged superblocks live).  Event counters are left alone
-     * — they are diagnostics, not reconciled.
+     * and the span cache's spans, and the span cache recounts its U
+     * from its live list; committed is held minus whatever the purge
+     * pass has decommitted (summed span-by-span over the reuse cache,
+     * the only place purged superblocks live).  Event counters are
+     * left alone — they are diagnostics, not reconciled.
      */
     void
     repair_after_fork()
@@ -2318,11 +2192,6 @@ class HoardAllocator final : public Allocator
         for (auto& bin : global_bins_) {
             in_use += bin->in_use;
             held += bin->held;
-            // Only band 0 can hold purged (empty) superblocks.
-            auto& group = bin->groups[0];
-            for (Superblock* sb = group.front(); sb != nullptr;
-                 sb = group.next(sb))
-                purged += sb->purged_bytes();
         }
         // Walk the reuse cache (single-threaded child: the
         // drain/re-push pair cannot race anyone) so purged spans are
@@ -2336,16 +2205,11 @@ class HoardAllocator final : public Allocator
             reuse_cache_.push(chain);
             chain = next;
         }
-        std::size_t medium_in_use = 0;
-        for (auto& stripe : huge_stripes_) {
-            for (Superblock* sb = stripe.list.front(); sb != nullptr;
-                 sb = stripe.list.next(sb)) {
-                in_use += sb->huge_user_bytes();
-                held += sb->span_bytes();
-                medium_in_use += sb->resident_bytes();
-            }
-        }
-        spans_.reset_in_use(medium_in_use);
+        spans_.recount_in_use();
+        spans_.for_each_live([&in_use, &held](const Superblock* sb) {
+            in_use += sb->huge_user_bytes();
+            held += sb->span_bytes();
+        });
         spans_.for_each_parked(
             [&held](const Superblock* sb) { held += sb->span_bytes(); });
         std::uint64_t cached = 0;
@@ -2395,13 +2259,10 @@ class HoardAllocator final : public Allocator
 
     /**
      * Lands one (whole) free block in global bin @p bin, which owns
-     * @p sb and whose lock the caller holds.  A superblock that empties
-     * here *stays in the bin* (band 0), class-retentive: the next
-     * same-class fetch takes it back formatted, with no re-carve.  Only
-     * empties born in per-processor heaps — class-neutral capital —
-     * go to the lock-free cross-class reuse cache.  Retained empties
-     * count against Config::empty_cache_limit together with the cache;
-     * past the limit the superblock is unmapped instead.
+     * @p sb and whose lock the caller holds.  Bins hold only partial
+     * superblocks: one that empties here leaves the bin for the reuse
+     * cache, whose stack for its class hands it back still formatted,
+     * so a same-class fetch skips the re-carve.
      */
     void
     free_into_bin_locked(Bin& bin, Superblock* sb, void* block)
@@ -2411,19 +2272,11 @@ class HoardAllocator final : public Allocator
         Policy::touch(sb, sizeof(Superblock), true);
         sb->deallocate_block(block);
         bin.in_use -= sb->block_bytes();
-        if (sb->empty() &&
-            reuse_cache_.size() +
-                    bin_empties_.load(std::memory_order_relaxed) >=
-                config_.empty_cache_limit) {
+        if (sb->empty()) {
             bin.unlink(sb, old_group);
             bin.held -= sb->span_bytes();
-            release_to_provider(sb);
+            retire_empty(sb);
             return;
-        }
-        if (sb->empty()) {
-            bin_empties_.fetch_add(1, std::memory_order_relaxed);
-            if (purge_armed_)
-                sb->set_retire_tick(Policy::timestamp());
         }
         bin.relink(sb, old_group);
     }
@@ -2516,9 +2369,8 @@ class HoardAllocator final : public Allocator
      * Pulls superblocks of @p cls from the global heap for @p dest,
      * whose lock the caller holds.  The class's bin is probed first —
      * without its lock, via the approximate occupancy counter — and a
-     * hit pulls up to Config::global_fetch_batch superblocks (partials
-     * fullest-first, then the bin's retained empties, all already
-     * formatted for @p cls) under one bin-lock acquisition: the cold
+     * hit pulls up to Config::global_fetch_batch partial superblocks,
+     * fullest first, under one bin-lock acquisition: the cold
      * heap is about to miss repeatedly, so batching amortizes the
      * round trip.  On a miss the lock-free reuse cache supplies a
      * recycled empty superblock, reformatted if its last class
@@ -2548,10 +2400,6 @@ class HoardAllocator final : public Allocator
                 bin.unlink(sb, sb->fullness_group());
                 bin.held -= sb->span_bytes();
                 bin.in_use -= sb->used_bytes();
-                if (sb->empty())
-                    bin_empties_.fetch_sub(1,
-                                           std::memory_order_relaxed);
-                revive_superblock(sb);
                 stats_.global_fetches.add();
                 adopt(dest, sb);
                 record_event(obs::EventKind::fetch_from_global,
@@ -2629,20 +2477,15 @@ class HoardAllocator final : public Allocator
     }
 
     /**
-     * Retires unlinked, completely-empty @p sb: pushed onto the
-     * lock-free reuse cache, or unmapped when the cache is over its
-     * limit.  The owner is cleared and the free window closed first —
+     * Retires unlinked, completely-empty @p sb onto the lock-free reuse
+     * cache.  The owner is cleared and the free window closed first —
      * safe because an empty superblock has no escaped blocks, so no
-     * valid free can race the stores.
-     * Callers hold no particular lock (the push is lock-free).
+     * valid free can race the stores.  Callers hold no lock, or the
+     * lock of the bin @p sb emptied in (the push is lock-free).
      */
     void
     retire_empty(Superblock* sb)
     {
-        if (reuse_cache_.size() >= config_.empty_cache_limit) {
-            release_to_provider(sb);
-            return;
-        }
         sb->set_owner(nullptr);
         sb->close_free_window();
         if (purge_armed_)
@@ -2660,7 +2503,7 @@ class HoardAllocator final : public Allocator
      * Decommits one empty superblock's payload (everything past the
      * page-aligned header) through the provider, moving its bytes from
      * the committed gauge to the purged gauge.  The caller owns @p sb
-     * exclusively (detached from the cache, or under its bin's lock).
+     * exclusively (detached from the reuse cache).
      * Returns the bytes decommitted — 0 when the span is too small to
      * have a whole payload page or the provider refused (then nothing
      * changed and the superblock is whole again).
@@ -2834,9 +2677,10 @@ class HoardAllocator final : public Allocator
     /**
      * Huge path: a dedicated span with a superblock header.  A span up
      * to the span cache's ceiling is medium: it rounds up to its class
-     * and comes back from the cache when one is parked, with @p zero
-     * clearing only what earlier requests can have dirtied.  Otherwise
-     * the span is mapped, and mapped memory is zero.
+     * and comes back from the cache when one is parked, re-formatted
+     * and linked live under the cache's one lock, with @p zero clearing
+     * only what earlier requests can have dirtied.  Otherwise the span
+     * is mapped, and mapped memory is zero.
      */
     void*
     try_allocate_huge(std::size_t size, std::size_t align, bool zero)
@@ -2849,22 +2693,26 @@ class HoardAllocator final : public Allocator
         const std::size_t need = offset + size;
         const int cls = spans_.class_for(need);
         const std::size_t span = cls < 0 ? need : spans_.class_bytes(cls);
-        Superblock* parked = cls < 0 ? nullptr : spans_.acquire(cls, need);
-        void* memory = parked;
-        std::size_t resident = need;
-        if (parked != nullptr) {
+        std::size_t dirty = 0;  // what earlier requests can have written
+        Superblock* sb = nullptr;
+        if (cls >= 0) {
+            sb = spans_.acquire(cls, need, [&](Superblock* parked) {
+                dirty = parked->resident_bytes();
+                return Superblock::create_huge(parked, span, offset, size,
+                                               arena_id_);
+            });
+        }
+        if (sb != nullptr) {
             Policy::work(CostKind::list_op);
-            const std::size_t dirty = parked->resident_bytes();
-            resident = std::max(need, dirty);
             if (zero && dirty > offset) {
-                std::memset(static_cast<char*>(memory) + offset, 0,
+                std::memset(reinterpret_cast<char*>(sb) + offset, 0,
                             std::min(size, dirty - offset));
             }
             stats_.medium_reuses.add();
         } else {
             Policy::work(CostKind::os_map);
             give_back_surplus_empties(span);
-            memory = provider_.map(span, config_.superblock_bytes);
+            void* memory = provider_.map(span, config_.superblock_bytes);
             if (memory == nullptr) {
                 if (cls >= 0)
                     spans_.cancel(need);
@@ -2873,16 +2721,13 @@ class HoardAllocator final : public Allocator
             note_mapped_range(memory, span);
             stats_.held_bytes.add(span);
             stats_.committed_bytes.add(span);
+            sb = Superblock::create_huge(memory, span, offset, size,
+                                         arena_id_);
+            if (cls >= 0)
+                sb->set_resident_bytes(need);
+            spans_.add_live(sb);
         }
-        Superblock* sb =
-            Superblock::create_huge(memory, span, offset, size, arena_id_);
-        if (cls >= 0)
-            sb->set_resident_bytes(resident);
-        {
-            HugeStripe& stripe = huge_stripe_for(memory);
-            std::lock_guard<typename Policy::Mutex> guard(stripe.mutex);
-            stripe.list.push_front(sb);
-        }
+        void* object = reinterpret_cast<char*>(sb) + offset;
         stats_.allocs.add();
         stats_.huge_allocs.add();
         stats_.in_use_bytes.add(size);
@@ -2891,16 +2736,15 @@ class HoardAllocator final : public Allocator
         // Huge accounting charges the user size to in_use, so the
         // profiler's "rounded" is the user size too — that keeps the
         // live-bytes reconciliation exact across both paths.
-        profile_alloc(static_cast<char*>(memory) + offset, size, size,
-                      obs::HeapProfiler::kHugeClass);
-        return static_cast<char*>(memory) + offset;
+        profile_alloc(object, size, size, obs::HeapProfiler::kHugeClass);
+        return object;
     }
 
     /**
      * Huge free, always timed when armed (free_huge).  A medium span
-     * goes to the span cache, which parks it or hands it back, plus
-     * any parked spans it sheds, to decommit here outside its lock; a
-     * larger span is unmapped.
+     * goes to the span cache, which unlinks it and parks it or hands it
+     * back, plus any parked spans it sheds, to decommit here outside
+     * its lock; a larger span is unlinked and unmapped.
      */
     void
     deallocate_huge(Superblock* sb)
@@ -2913,11 +2757,6 @@ class HoardAllocator final : public Allocator
         const bool medium = sb->span_bytes() <= spans_.max_span_bytes();
         if (!medium)
             Policy::work(CostKind::os_map);
-        {
-            HugeStripe& stripe = huge_stripe_for(sb);
-            std::lock_guard<typename Policy::Mutex> guard(stripe.mutex);
-            stripe.list.remove(sb);
-        }
         stats_.frees.add();
         stats_.in_use_bytes.sub(sb->huge_user_bytes());
         if (medium) {
@@ -2934,6 +2773,7 @@ class HoardAllocator final : public Allocator
                 victim = next;
             }
         } else {
+            spans_.remove_live(sb);
             const std::size_t total = sb->span_bytes();
             stats_.held_bytes.sub(total);
             stats_.committed_bytes.sub(total);
@@ -2986,10 +2826,6 @@ class HoardAllocator final : public Allocator
                 chain->cache_next.load(std::memory_order_relaxed);
             unmap_superblock(chain);
             chain = next;
-        }
-        for (auto& stripe : huge_stripes_) {
-            while (Superblock* sb = stripe.list.pop_front())
-                unmap_superblock(sb);
         }
         spans_.drain_unlocked(
             [this](Superblock* sb) { unmap_superblock(sb); });
@@ -3072,17 +2908,14 @@ class HoardAllocator final : public Allocator
     }
 
     /** Counter/list consistency for one global bin; takes its lock.
-        Bins hold superblocks of their own class only — partials plus
-        retained empties (band 0) — and the lock-free occupancy hint
-        is exact at quiescence.  Returns the retained-empty count so
-        check_invariants can reconcile the bin_empties_ gauge. */
-    std::size_t
+        Bins hold partial superblocks of their own class only, and the
+        lock-free occupancy hint is exact at quiescence. */
+    void
     check_bin(Bin& bin)
     {
         std::lock_guard<typename Bin::Mutex> guard(bin.mutex);
         std::size_t used_sum = 0;
         std::size_t held_sum = 0;
-        std::size_t empties = 0;
         std::uint32_t count = 0;
         for (int g = 0; g < Superblock::kGroupCount; ++g) {
             for (Superblock* sb = bin.groups[g].front(); sb != nullptr;
@@ -3090,9 +2923,8 @@ class HoardAllocator final : public Allocator
                 HOARD_CHECK(sb->size_class() == bin.size_class);
                 HOARD_CHECK(sb->fullness_group() == g);
                 HOARD_CHECK(sb->owner() == static_cast<Base*>(&bin));
-                HOARD_CHECK(sb->used() <= sb->capacity());
-                if (sb->empty())
-                    ++empties;
+                HOARD_CHECK(sb->used() != 0 &&
+                            sb->used() <= sb->capacity());
                 used_sum += sb->used_bytes();
                 held_sum += sb->span_bytes();
                 ++count;
@@ -3102,25 +2934,6 @@ class HoardAllocator final : public Allocator
         HOARD_CHECK(held_sum == bin.held);
         HOARD_CHECK(count ==
                     bin.occupancy.load(std::memory_order_relaxed));
-        return empties;
-    }
-
-    /// One stripe of the huge-object list: huge registrations hash to
-    /// a stripe by address, so concurrent huge allocations rarely
-    /// share a lock.
-    struct HugeStripe
-    {
-        typename Policy::Mutex mutex;
-        SuperblockList list;
-    };
-
-    /** The stripe registering the huge span that starts at @p p. */
-    HugeStripe&
-    huge_stripe_for(const void* p)
-    {
-        auto addr = reinterpret_cast<std::uintptr_t>(p);
-        return huge_stripes_[(addr / config_.superblock_bytes) &
-                             (kHugeStripes - 1)];
     }
 
     const Config config_;
@@ -3163,19 +2976,12 @@ class HoardAllocator final : public Allocator
     /// so racing charges may dip below zero instead of wrapping.
     std::atomic<std::size_t> cache_reserve_{0};
     std::atomic<std::int64_t> cache_loans_{0};
-    /// Empty superblocks retained inside global bins (class-local, so
-    /// not in the cache).  Updated under the owning bin's lock but
-    /// atomic because distinct bin locks do not order each other;
-    /// together with the cache size it is bounded by
-    /// Config::empty_cache_limit.
-    std::atomic<std::size_t> bin_empties_{0};
     /// Guards cache_nodes_ and serializes magazine flushes against each
     /// other (never against the owners' lock-free fast paths).
     typename Policy::Mutex cache_mutex_;
     detail::MagazineNode* cache_nodes_ = nullptr;
     std::uint64_t magazine_id_ = 0;   ///< 0 = caching disabled
     std::uint32_t batch_blocks_ = 1;  ///< N of the batched fast path
-    HugeStripe huge_stripes_[kHugeStripes];
     /// True when any purge trigger is configured; hoisted so the
     /// deallocate tail's maybe_purge() costs one predictable branch.
     const bool purge_armed_ = config_.purge_age_ticks != 0 ||
@@ -3191,8 +2997,9 @@ class HoardAllocator final : public Allocator
     /// Gauge time series; non-null only when tracing is enabled and
     /// Config::obs_sample_interval > 0.
     std::unique_ptr<obs::TimeSeriesSampler> sampler_;
-    /// Freed medium spans kept committed, and the bound on them.  Last,
-    /// so the small-object members keep their offsets.
+    /// Every span above S/2, live or parked; freed medium spans kept
+    /// committed, and the bound on them.  Last, so the small-object
+    /// members keep their offsets.
     SpanCache<Policy> spans_{
         config_.superblock_bytes, config_.empty_fraction,
         config_.slack_superblocks * config_.superblock_bytes};

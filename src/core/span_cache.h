@@ -1,26 +1,29 @@
 /**
  * @file
- * Medium span cache: a freed span above S/2 and up to kCeilingBytes
- * stays committed, so the next request of its size class takes it back
- * with no syscall and no page fault.
+ * The span cache: every span above S/2, live or parked, under one
+ * mutex.  A freed span up to kCeilingBytes (a medium span) stays
+ * committed, so the next request of its size class takes it back with
+ * no syscall and no page fault.
  *
  * Hoard keeps freed memory in its heaps and bounds what it keeps with
  * the emptiness invariant u >= (1 - f) a - K S (paper §3).  This cache
  * applies the same device to the dedicated spans of medium objects,
  * which would otherwise decommit on every free and refault on every
- * reuse.  scalloc (PAPERS.md) keeps freed spans in pools the same way.
+ * reuse.  scalloc (PAPERS.md) keeps live and free spans in one global
+ * structure the same way.
  *
  * Classes: four per octave from S/2 to the ceiling, so rounding a span
  * up to its class wastes at most 25%.  A span is mapped for its class
  * size and carries a *resident estimate* r (Superblock::resident_bytes):
  * the largest header + request it has served since it was last
  * committed.  No byte past r can be dirty, and about r bytes of it are
- * resident.
+ * resident.  A span above the ceiling has r = 0 and never parks.
  *
- * State, under one mutex: a LIFO list of parked spans per class, the
- * parked bytes C (sum of r over parked spans), the medium in-use U (sum
- * of r over live medium spans) and its high-water mark Û.  A free parks
- * its span only if
+ * State, under one mutex: the list of live spans (what snapshots, the
+ * fork child and teardown walk), a LIFO list of parked spans per
+ * class, the parked bytes C (sum of r over parked spans), the medium
+ * in-use U (sum of r over live medium spans) and its high-water mark
+ * Û.  A free parks its span only if
  *
  *     C + r <= min(f / (1 - f) * U + K * S,  Û - U - M)
  *
@@ -41,10 +44,10 @@
  * live, and down to the bound (K·S) by the free that leaves nothing
  * live.  (Evicting whenever C is over the bound made 6-10% of frees on
  * medium_buffers pay two madvise calls, and the free p99 rose by a
- * fifth to a third.)  The cache never decommits anything itself; it
- * hands spans back and the caller decommits them outside the lock.
- * malloc never decommits.  Nothing here is a knob: every constant
- * comes from f, K, S and the ceiling.
+ * fifth to a third.)  The cache never maps or decommits anything
+ * itself; it hands spans back and the caller decommits them outside
+ * the lock.  malloc never decommits.  Nothing here is a knob: every
+ * constant comes from f, K, S and the ceiling.
  *
  * Parked spans keep their header with the free window closed (the
  * hardened free path reports a second free of one as a double free)
@@ -138,21 +141,27 @@ class SpanCache
     }
 
     /**
-     * malloc: pops the newest parked span of @p cls, or returns nullptr
-     * and the caller maps one.  Either way U grows by the new span's
-     * resident estimate, max(@p need, the popped span's estimate),
-     * which the caller stores once it has re-formatted the header.
-     * When the fresh map fails the caller gives @p need back through
-     * cancel().
+     * malloc of a medium span: U grows by the new span's resident
+     * estimate, max(@p need, a reused span's estimate).  When a span of
+     * @p cls is parked, the newest is re-formatted by @p format (which
+     * takes the parked span and returns its new header), given that
+     * estimate, linked live and returned, all under one lock.  Else
+     * the result is nullptr: the caller maps a span and registers it
+     * with add_live(), or gives @p need back through cancel() when the
+     * map fails.
      */
+    template <class Format>
     Superblock*
-    acquire(int cls, std::size_t need)
+    acquire(int cls, std::size_t need, Format&& format)
     {
         std::lock_guard<Mutex> guard(mutex_);
         Superblock* sb = lists_[static_cast<std::size_t>(cls)].pop_front();
         if (sb != nullptr) {
             parked_ -= sb->resident_bytes();
             need = std::max(need, sb->resident_bytes());
+            sb = format(sb);
+            sb->set_resident_bytes(need);
+            live_.push_front(sb);
         }
         in_use_ += need;
         high_water_ = std::max(high_water_, in_use_);
@@ -167,12 +176,31 @@ class SpanCache
         in_use_ -= need;
     }
 
+    /** Links a freshly mapped span (a medium one with its resident
+        estimate already set) onto the live list. */
+    void
+    add_live(Superblock* sb)
+    {
+        std::lock_guard<Mutex> guard(mutex_);
+        live_.push_front(sb);
+    }
+
+    /** free of a span above the ceiling: unlinks it; the caller unmaps
+        it. */
+    void
+    remove_live(Superblock* sb)
+    {
+        std::lock_guard<Mutex> guard(mutex_);
+        live_.remove(sb);
+    }
+
     /**
-     * free: takes live span @p sb (header intact, free window already
-     * closed) out of U and parks it if the bound allows.  If not, the
-     * span comes back for decommit, with the largest parked span when
-     * C is over the bound by more than f/(1-f)·U too (every span over
-     * the bound once U is 0).  The caller decommits what comes back.
+     * free of a medium span: unlinks live span @p sb (header intact,
+     * free window already closed), takes it out of U and parks it if
+     * the bound allows.  If not, the span comes back for decommit, with
+     * the largest parked span when C is over the bound by more than
+     * f/(1-f)·U too (every span over the bound once U is 0).  The
+     * caller decommits what comes back.
      */
     Decommits
     release(Superblock* sb)
@@ -180,6 +208,7 @@ class SpanCache
         const std::size_t r = sb->resident_bytes();
         Decommits out;
         std::lock_guard<Mutex> guard(mutex_);
+        live_.remove(sb);
         in_use_ -= r;
         const std::size_t bound = bound_locked();
         if (parked_ + r <= bound) {
@@ -230,13 +259,15 @@ class SpanCache
         return take_locked(sb);
     }
 
-    /** Teardown: hands every parked span to @p f.  Takes no lock: the
-        owner is being destroyed, so nothing races it, and a simulated
-        mutex cannot be taken outside a simulated thread. */
+    /** Teardown: hands every span, live or parked, to @p f.  Takes no
+        lock: the owner is being destroyed, so nothing races it, and a
+        simulated mutex cannot be taken outside a simulated thread. */
     template <class F>
     void
     drain_unlocked(F&& f)
     {
+        while (Superblock* sb = live_.pop_front())
+            f(sb);
         for (int cls = 0; cls < class_count_; ++cls) {
             while (Superblock* sb =
                        lists_[static_cast<std::size_t>(cls)].pop_front()) {
@@ -244,6 +275,17 @@ class SpanCache
                 f(sb);
             }
         }
+    }
+
+    /** Calls @p f on every live span, under the lock. */
+    template <class F>
+    void
+    for_each_live(F&& f) const
+    {
+        std::lock_guard<Mutex> guard(mutex_);
+        for (Superblock* sb = live_.front(); sb != nullptr;
+             sb = live_.next(sb))
+            f(sb);
     }
 
     /** Calls @p f on every parked span, under the lock. */
@@ -266,13 +308,15 @@ class SpanCache
     void lock() { mutex_.lock(); }
     void unlock() { mutex_.unlock(); }
 
-    /** Fork child, single-threaded: U recounted from the live medium
-        spans the child still has (a parent thread may have died
-        between its stripe update and its U update). */
+    /** Fork child, single-threaded: U recounted from the live list (a
+        parent thread may have died between acquire() and add_live()). */
     void
-    reset_in_use(std::size_t live)
+    recount_in_use()
     {
-        in_use_ = live;
+        in_use_ = 0;
+        for (Superblock* sb = live_.front(); sb != nullptr;
+             sb = live_.next(sb))
+            in_use_ += sb->resident_bytes();
         high_water_ = std::max(high_water_, in_use_);
     }
     /// @}
@@ -383,6 +427,7 @@ class SpanCache
     const double ratio_;       ///< f / (1 - f)
     const std::size_t slack_;  ///< K * S
     mutable Mutex mutex_;
+    SuperblockList live_;
     std::array<SuperblockList, kMaxClasses> lists_;
     std::size_t parked_ = 0;      ///< C
     std::size_t in_use_ = 0;      ///< U

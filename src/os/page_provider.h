@@ -98,6 +98,16 @@ class PageProvider
     virtual void unpurge(void* /* p */, std::size_t /* bytes */) {}
 
     /**
+     * Fork support: a provider with locks of its own takes them here,
+     * after every allocator lock (maps and unmaps run under heap
+     * locks), so fork() copies none of them held by a thread the child
+     * lacks.  after_fork() releases them, in the parent and in the
+     * child alike.  Lock-free providers need neither.
+     */
+    virtual void prepare_fork() {}
+    virtual void after_fork() {}
+
+    /**
      * Optional pre-commit hint: a provider may make up to @p count
      * recyclable spans of @p bytes mappable ahead of demand.  The
      * allocator never calls it; the no-op default stays because

@@ -449,6 +449,21 @@ ReservedArenaProvider::unpurge(void* /* p */, std::size_t bytes)
     committed_.add(detail::align_up(bytes, page_bytes_));
 }
 
+void
+ReservedArenaProvider::prepare_fork()
+{
+    // The two locks never nest elsewhere, so any fixed order serves.
+    grow_mutex_.lock();
+    node_mutex_.lock();
+}
+
+void
+ReservedArenaProvider::after_fork()
+{
+    node_mutex_.unlock();
+    grow_mutex_.unlock();
+}
+
 bool
 ReservedArenaProvider::in_arena(const void* p) const
 {

@@ -107,6 +107,9 @@ class ReservedArenaProvider : public PageProvider
     }
     bool purge(void* p, std::size_t bytes) override;
     void unpurge(void* p, std::size_t bytes) override;
+    /** Takes the arena-growth and node-pool locks (see PageProvider). */
+    void prepare_fork() override;
+    void after_fork() override;
 
     /// @name Telemetry (diagnostics; not part of any reconciliation).
     /// @{

@@ -41,9 +41,9 @@
  *  - **Hardened free.**  Arbitrary pointers from the host program hit
  *    the validating free path (Config::hardened_free, on by default);
  *    HOARD_BAD_FREE=warn switches the process from abort-with-
- *    diagnostic to count-and-leak without a rebuild.  The shim
- *    additionally rejects invalid alignment arguments with errno
- *    rather than letting them reach the allocator's internal aborts.
+ *    diagnostic to count-and-leak without a rebuild.  Alignment
+ *    arguments never abort either: the facade answers one that is not
+ *    a power of two with EINVAL and one past S/2 with ENOMEM.
  *
  * Known bounds (documented, not bugs): allocator-internal metadata
  * allocated while a wrapper is on the stack also lands in the bump
@@ -141,14 +141,6 @@ is_pow2(std::size_t v)
     return v != 0 && (v & (v - 1)) == 0;
 }
 
-/** Largest alignment the allocator serves (S/2; facade contract). */
-std::size_t
-max_alignment()
-{
-    DepthGuard guard;  // may construct the singleton
-    return hoard::global_allocator().config().superblock_bytes / 2;
-}
-
 std::size_t
 page_bytes()
 {
@@ -165,17 +157,10 @@ aligned_impl(std::size_t align, std::size_t size)
     }
     if (t_depth > 0)
         return boot_alloc(size == 0 ? 1 : size, align);
-    if (align > max_alignment()) {
-        // Valid but unservable (> S/2): degrade as exhaustion, not as
-        // an invalid argument.
-        errno = ENOMEM;
-        return nullptr;
-    }
+    // The facade decides what it can serve and sets errno (ENOMEM past
+    // S/2, docs/SHIM.md).
     DepthGuard guard;
-    void* p = hoard::hoard_aligned_alloc(align, size);
-    if (p == nullptr)
-        errno = ENOMEM;
-    return p;
+    return hoard::hoard_aligned_alloc(align, size);
 }
 
 /// @name Heap-profile dumping (docs/PROFILING.md).

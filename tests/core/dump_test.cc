@@ -1,4 +1,4 @@
-/** @file Tests for the heap introspection report. */
+/** @file Tests for the human-readable heap report (obs::write_human). */
 
 #include <gtest/gtest.h>
 
@@ -6,10 +6,19 @@
 #include <vector>
 
 #include "core/hoard_allocator.h"
+#include "obs/trace_export.h"
 #include "policy/native_policy.h"
 
 namespace hoard {
 namespace {
+
+std::string
+human(HoardAllocator<NativePolicy>& allocator)
+{
+    std::ostringstream os;
+    obs::write_human(os, allocator.take_snapshot());
+    return os.str();
+}
 
 TEST(Dump, ReportsConfigAndHeaps)
 {
@@ -21,10 +30,7 @@ TEST(Dump, ReportsConfigAndHeaps)
     for (int i = 0; i < 300; ++i)
         blocks.push_back(allocator.allocate(64));
 
-    std::ostringstream os;
-    allocator.dump(os);
-    std::string out = os.str();
-
+    const std::string out = human(allocator);
     EXPECT_NE(out.find("S=8192"), std::string::npos);
     EXPECT_NE(out.find("P=3"), std::string::npos);
     EXPECT_NE(out.find("heap 0 (global)"), std::string::npos);
@@ -38,9 +44,7 @@ TEST(Dump, ReportsConfigAndHeaps)
 TEST(Dump, EmptyAllocatorStillPrints)
 {
     HoardAllocator<NativePolicy> allocator{Config{}};
-    std::ostringstream os;
-    allocator.dump(os);
-    EXPECT_NE(os.str().find("heap 0 (global)"), std::string::npos);
+    EXPECT_NE(human(allocator).find("heap 0 (global)"), std::string::npos);
 }
 
 TEST(Dump, ShowsThreadCacheWhenEnabled)
@@ -51,10 +55,7 @@ TEST(Dump, ShowsThreadCacheWhenEnabled)
     HoardAllocator<NativePolicy> allocator(config);
     void* p = allocator.allocate(32);
     allocator.deallocate(p);  // parks in the cache
-    std::ostringstream os;
-    allocator.dump(os);
-    EXPECT_NE(os.str().find("thread caches: 1 block(s)"),
-              std::string::npos);
+    EXPECT_NE(human(allocator).find(" cached 32 "), std::string::npos);
     allocator.flush_thread_caches();
 }
 

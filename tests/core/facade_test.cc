@@ -221,6 +221,30 @@ TEST(Facade, AlignedAllocZeroSizeGivesFreeablePointer)
     hoard_free(p);
 }
 
+TEST(Facade, AlignedAllocRefusesWithoutAborting)
+{
+    const std::size_t half = global_allocator().config().superblock_bytes / 2;
+    errno = 0;
+    EXPECT_EQ(hoard_aligned_alloc(48, 100), nullptr);
+    EXPECT_EQ(errno, EINVAL) << "not a power of two";
+    errno = 0;
+    EXPECT_EQ(hoard_aligned_alloc(0, 100), nullptr);
+    EXPECT_EQ(errno, EINVAL);
+    for (std::size_t align : {half * 2, half * 4, std::size_t{1} << 30}) {
+        SCOPED_TRACE(align);
+        errno = 0;
+        EXPECT_EQ(hoard_aligned_alloc(align, 100), nullptr);
+        EXPECT_EQ(errno, ENOMEM) << "a power of two past S/2 is unservable";
+    }
+    // S/2 itself is served, small and above S/2 in size.
+    for (std::size_t size : {std::size_t{1}, half * 3}) {
+        void* p = hoard_aligned_alloc(half, size);
+        ASSERT_NE(p, nullptr);
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % half, 0u);
+        hoard_free(p);
+    }
+}
+
 TEST(Facade, PosixMemalign)
 {
     void* p = nullptr;
@@ -232,8 +256,8 @@ TEST(Facade, PosixMemalign)
     EXPECT_EQ(hoard_posix_memalign(&p, 3, 100), EINVAL);
     EXPECT_EQ(hoard_posix_memalign(&p, 4, 100), EINVAL)
         << "alignment must be a multiple of sizeof(void*)";
-    EXPECT_EQ(hoard_posix_memalign(&p, 1 << 20, 100), EINVAL)
-        << "alignment beyond S/2 is rejected, not fatal";
+    EXPECT_EQ(hoard_posix_memalign(&p, 1 << 20, 100), ENOMEM)
+        << "a valid alignment beyond S/2 cannot be served, not fatal";
     EXPECT_EQ(hoard_posix_memalign(nullptr, 256, 100), EINVAL);
 
     EXPECT_EQ(hoard_posix_memalign(&p, 256, 0), 0);

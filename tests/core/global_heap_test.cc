@@ -7,8 +7,9 @@
  *
  *  - a cold heap's fetch pulls up to Config::global_fetch_batch
  *    superblocks from its class's bin in one visit;
- *  - superblocks that empty inside a bin are retained there (still
- *    formatted) and release_free_memory scavenges them;
+ *  - bins hold only partial superblocks: one that empties inside a
+ *    bin goes to the reuse cache (still formatted), and
+ *    release_free_memory returns it;
  *  - empty superblocks recycle through the cache within and across
  *    size classes without fresh OS mappings;
  *  - a huge allocation first unmaps cached empties up to its span's
@@ -112,37 +113,46 @@ TEST(GlobalBins, BatchedFetchPullsMultipleSuperblocks)
     EXPECT_TRUE(allocator.check_invariants());
 }
 
-TEST(GlobalBins, EmptiesRetainedInBinAndScavenged)
+TEST(GlobalBins, EmptiesBornInABinGoToTheReuseCache)
 {
     NativeHoard allocator(bin_config(2));
     std::vector<void*> live = populate_bin(allocator, 6);
+    const std::size_t S = allocator.config().superblock_bytes;
+    const obs::AllocatorSnapshot before = allocator.take_snapshot();
+    const std::size_t binned =
+        (before.heaps[0].held - before.heaps[0].empty_cached * S) / S;
+    ASSERT_GT(binned, 0u)
+        << "partial superblocks should have transferred to the bin";
 
     // Free the rest.  The blocks' superblocks now live in the bin, so
-    // these frees land there and the superblocks empty *inside* it —
-    // retained in band 0, still formatted, never pushed to the
-    // cross-class cache.
+    // these frees land there and the superblocks empty *inside* it:
+    // each leaves the bin for the reuse cache, still formatted.
+    const std::uint64_t pushes0 = allocator.stats().cache_pushes.get();
     for (void* q : live)
         allocator.deallocate(q);
     EXPECT_EQ(allocator.stats().in_use_bytes.current(), 0u);
+    EXPECT_GE(allocator.stats().cache_pushes.get() - pushes0, binned);
     EXPECT_TRUE(allocator.check_invariants());
-    EXPECT_GT(allocator.heap_held(0), 0u)
-        << "bin should retain its emptied superblocks";
 
     obs::AllocatorSnapshot snap = allocator.take_snapshot();
     EXPECT_TRUE(snap.reconciles());
     EXPECT_EQ(snap.heaps[0].in_use, 0u);
-    EXPECT_GT(snap.heaps[0].held, 0u);
+    EXPECT_TRUE(snap.heaps[0].classes.empty()) << "bins hold no empties";
+    EXPECT_GE(snap.heaps[0].empty_cached, binned);
+    EXPECT_EQ(snap.heaps[0].held, snap.heaps[0].empty_cached * S);
 
-    // A same-class refetch takes a retained superblock back without
-    // a fresh mapping.
+    // A same-class refetch takes a cached superblock back without a
+    // fresh mapping.
     const std::uint64_t maps0 =
         allocator.stats().superblock_allocs.get();
+    const std::uint64_t pops0 = allocator.stats().cache_pops.get();
     void* p = allocator.allocate(64);
     ASSERT_NE(p, nullptr);
     EXPECT_EQ(allocator.stats().superblock_allocs.get(), maps0);
+    EXPECT_GT(allocator.stats().cache_pops.get(), pops0);
     allocator.deallocate(p);
 
-    // Memory pressure scavenges the retained empties.
+    // Memory pressure returns them.
     const std::size_t released = allocator.release_free_memory();
     EXPECT_GT(released, 0u);
     EXPECT_EQ(allocator.heap_held(0), 0u);

@@ -184,23 +184,6 @@ TEST_F(HoardAllocatorTest, StatsCountOperations)
         << "empty superblocks are cached, not unmapped";
 }
 
-TEST_F(HoardAllocatorTest, EmptyCacheLimitReturnsMemoryToOs)
-{
-    Config config = small_config();
-    config.empty_cache_limit = 0;  // release every empty superblock
-    config.slack_superblocks = 0;
-    NativeHoard allocator(config);
-    std::vector<void*> blocks;
-    for (int i = 0; i < 5000; ++i)
-        blocks.push_back(allocator.allocate(64));
-    std::size_t peak = allocator.stats().committed_bytes.current();
-    for (void* p : blocks)
-        allocator.deallocate(p);
-    EXPECT_LT(allocator.stats().committed_bytes.current(), peak / 2)
-        << "most superblocks should have been unmapped";
-    EXPECT_TRUE(allocator.check_invariants());
-}
-
 TEST_F(HoardAllocatorTest, HeapAssignmentFollowsThreadIndex)
 {
     Config config = small_config();

@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -83,18 +83,16 @@ class SpanCacheRules : public ::testing::Test
     take(std::size_t need)
     {
         const int cls = cache_.class_for(need);
-        Superblock* sb = cache_.acquire(cls, need);
-        std::size_t resident = need;
-        void* memory = sb;
-        if (sb != nullptr) {
-            resident = std::max(need, sb->resident_bytes());
-        } else {
-            headers_.push_back(std::make_unique<Header>());
-            memory = headers_.back()->bytes;
-        }
-        sb = Superblock::create_huge(memory, cache_.class_bytes(cls),
-                                     kHeader, need - kHeader);
-        sb->set_resident_bytes(resident);
+        auto format = [&](void* memory) {
+            return Superblock::create_huge(memory, cache_.class_bytes(cls),
+                                           kHeader, need - kHeader);
+        };
+        if (Superblock* sb = cache_.acquire(cls, need, format))
+            return sb;
+        headers_.push_back(std::make_unique<Header>());
+        Superblock* sb = format(headers_.back()->bytes);
+        sb->set_resident_bytes(need);
+        cache_.add_live(sb);
         return sb;
     }
 
@@ -261,7 +259,12 @@ TEST_F(SpanCacheRules, FarOverTheBoundShedsTheLargestThenDrainsAtZero)
 TEST_F(SpanCacheRules, FailedMapGivesItsChargeBack)
 {
     const int cls = cache_.class_for(40000);
-    EXPECT_EQ(cache_.acquire(cls, 40000), nullptr);
+    EXPECT_EQ(cache_.acquire(cls, 40000,
+                             [](Superblock* sb) {
+                                 ADD_FAILURE() << "nothing is parked";
+                                 return sb;
+                             }),
+              nullptr);
     EXPECT_EQ(cache_.in_use_bytes(), 40000u);
     cache_.cancel(40000);
     EXPECT_EQ(cache_.in_use_bytes(), 0u);
@@ -413,7 +416,9 @@ TEST(SpanCacheAllocator, ConcurrentChurnStaysExact)
     // Four threads churn private tables of medium buffers across every
     // class edge, half of them through calloc, and check every byte
     // pattern before each free: a span parked by one thread is reused
-    // by another while evictions decommit under their feet.
+    // by another while evictions decommit under their feet.  A fifth
+    // walks the live and parked lists (snapshots) and decommits parked
+    // spans (forced purge passes) throughout.
     constexpr int kThreads = 4;
     constexpr int kSlots = 8;
     constexpr int kRounds = 1500;
@@ -421,9 +426,16 @@ TEST(SpanCacheAllocator, ConcurrentChurnStaysExact)
     config.heap_count = kThreads;
     NativeHoard a(config);
     std::atomic<int> corrupt{0};
+    std::atomic<int> running{kThreads};
     std::vector<std::thread> threads;
+    threads.emplace_back([&a, &running] {
+        while (running.load() != 0) {
+            (void)a.take_snapshot();
+            a.purge(/*force=*/true);
+        }
+    });
     for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&a, &corrupt, t] {
+        threads.emplace_back([&a, &corrupt, &running, t] {
             detail::Rng rng(0x5eed + static_cast<std::uint64_t>(t));
             struct Slot
             {
@@ -467,6 +479,7 @@ TEST(SpanCacheAllocator, ConcurrentChurnStaysExact)
                     a.deallocate(s.p);
                 }
             }
+            running.fetch_sub(1);
         });
     }
     for (std::thread& th : threads)

@@ -18,6 +18,7 @@
 #include "core/hoard_allocator.h"
 #include "core/pmr_resource.h"
 #include "core/stl_allocator.h"
+#include "obs/trace_export.h"
 #include "os/page_provider.h"
 #include "policy/native_policy.h"
 #include "workloads/runners.h"
@@ -151,7 +152,7 @@ TEST(Composition, DumpAfterHeavyCompositionRuns)
         keep.push_back(allocator.allocate(
             static_cast<std::size_t>(i % 900) + 1));
     std::ostringstream os;
-    allocator.dump(os);
+    obs::write_human(os, allocator.take_snapshot());
     EXPECT_GT(os.str().size(), 100u);
     for (void* p : keep)
         allocator.deallocate(p);

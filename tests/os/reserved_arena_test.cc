@@ -2,15 +2,21 @@
  * @file
  * Unit tests for the reserved-arena page provider: reservation vs
  * commit accounting, syscall-free span recycling, purge/unpurge, the
- * over-max-span fallback, and — through the protected syscall seams —
- * survival of reservation, commit, and decommit failures.
+ * over-max-span fallback, through the protected syscall seams
+ * survival of reservation, commit, and decommit failures, and a fork
+ * taken while another thread is inside arena growth.
  */
 
 #include "os/reserved_arena.h"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "common/mathutil.h"
@@ -311,6 +317,82 @@ TEST(ReservedArenaFaults, PurgeFailureLeavesRangeCommitted)
     EXPECT_EQ(provider.mapped_bytes(), 0u);
     provider.unpurge(p, kSpan);
     provider.unmap(p, kSpan);
+}
+
+/** Stops the first arena growth inside os_reserve, with the growth
+    lock held, until the test releases it. */
+class LatchedArena : public ReservedArenaProvider
+{
+  public:
+    using ReservedArenaProvider::ReservedArenaProvider;
+
+    std::atomic<bool> entered{false};
+    std::atomic<bool> released{false};
+
+  protected:
+    void*
+    os_reserve(std::size_t bytes) override
+    {
+        if (!entered.exchange(true)) {
+            while (!released.load())
+                std::this_thread::yield();
+        }
+        return ReservedArenaProvider::os_reserve(bytes);
+    }
+};
+
+TEST(ReservedArenaFork, ChildGrowsAfterAForkDuringGrowth)
+{
+    // One max span per arena, so every max-span map past the first
+    // grows the arena set.
+    ReservedArenaProvider::Options o;
+    o.arena_bytes = std::size_t{1} << 20;
+    o.max_span_bytes = std::size_t{1} << 20;
+    LatchedArena provider(o);
+    std::thread grower([&provider] {
+        void* p = provider.map(kSpan, kSpan);
+        if (p != nullptr)
+            provider.unmap(p, kSpan);
+    });
+    while (!provider.entered.load())
+        std::this_thread::yield();
+
+    // The grower is stopped inside growth.  Fork as the facade's
+    // handlers do: prepare_fork() takes the growth lock, so it waits
+    // for the grower, which a helper lets go once the fork has begun.
+    std::atomic<bool> forking{false};
+    std::thread releaser([&] {
+        while (!forking.load())
+            std::this_thread::yield();
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        provider.released.store(true);
+    });
+    forking.store(true);
+    provider.prepare_fork();
+    const pid_t pid = fork();
+    if (pid == 0) {
+        // Child: no gtest here.  A growth lock copied held would hang
+        // the growth below; the alarm turns that into a failure.
+        provider.after_fork();
+        alarm(10);
+        // The grower may not have carved from its new arena before the
+        // fork, so the first map can still fit; the second cannot.
+        const std::uint64_t before = provider.reservations();
+        for (int i = 0; i < 2 && provider.reservations() == before; ++i) {
+            if (provider.map(std::size_t{1} << 20, std::size_t{1} << 20) ==
+                nullptr)
+                _exit(1);
+        }
+        _exit(provider.reservations() > before ? 0 : 2);
+    }
+    provider.after_fork();
+    releaser.join();
+    grower.join();
+    ASSERT_GT(pid, 0);
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status)) << "the child hung in arena growth";
+    EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 }  // namespace
