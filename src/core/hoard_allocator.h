@@ -55,13 +55,17 @@
  *
  * Huge objects (> S/2) get a dedicated span, registered live in the
  * span cache (span_cache.h), which owns every such span under one
- * lock.  Medium ones, whose span is at most SpanCache::kCeilingBytes,
- * round up to one of four classes per octave, and a freed medium span
- * stays committed in the span cache as far as the emptiness invariant
- * and the medium in-use high-water mark allow; the next request of its
- * class takes it back with no syscall and no page fault.  A span that
+ * lock.  Medium ones, whose header + request is at most
+ * SpanCache::kCeilingBytes, all map a span of that one size, of which
+ * only the pages a request touches become resident, and count the
+ * bytes of their request's class (four per octave) in held and
+ * committed.  A freed medium span stays committed in the span cache as
+ * far as the emptiness invariant and the medium in-use high-water mark
+ * allow; a later request whose class is at or above that of what the
+ * span holds takes it back with no syscall, faulting in only the pages
+ * past what it holds.  A span that
  * maps afresh first gives back the reuse cache's surplus empty
- * superblocks, up to the span's size, so a program that drops a
+ * superblocks, up to the span's charge, so a program that drops a
  * small-object working set and then maps large buffers does not hold
  * both.  Surplus is what lies above a reserve that grows each time a
  * small class has to map afresh after such a give-back, so small
@@ -580,8 +584,9 @@ class HoardAllocator final : public Allocator
     /**
      * Walks every heap verifying counter consistency and the emptiness
      * invariant (allowing the one-superblock transient and per-header
-     * slack discussed in DESIGN.md).  Aborts on violation; returns true
-     * so it can sit inside EXPECT_TRUE.
+     * slack discussed in DESIGN.md), then the span cache's estimates,
+     * lists and sums (SpanCache::check_invariants).  Aborts on
+     * violation; returns true so it can sit inside EXPECT_TRUE.
      */
     bool
     check_invariants()
@@ -594,7 +599,7 @@ class HoardAllocator final : public Allocator
             check_heap(*heap);
         for (auto& bin : global_bins_)
             check_bin(*bin);
-        return true;
+        return spans_.check_invariants();
     }
 
     /**
@@ -709,14 +714,14 @@ class HoardAllocator final : public Allocator
         fill_global_snapshot(snap.heaps[0]);
         for (std::size_t i = 0; i < heaps_.size(); ++i)
             fill_heap_snapshot(*heaps_[i], snap.heaps[i + 1]);
-        spans_.for_each_live([&snap](const Superblock* sb) {
+        spans_.for_each_live([this, &snap](const Superblock* sb) {
             ++snap.huge_count;
             snap.huge_user_bytes += sb->huge_user_bytes();
-            snap.huge_span_bytes += sb->span_bytes();
+            snap.huge_span_bytes += spans_.charged_bytes(sb);
         });
-        spans_.for_each_parked([&snap](const Superblock* sb) {
+        spans_.for_each_parked([this, &snap](const Superblock* sb) {
             ++snap.parked_count;
-            snap.parked_span_bytes += sb->span_bytes();
+            snap.parked_span_bytes += spans_.charged_bytes(sb);
         });
 
         // Phase 3: prune empty classes.  erase() only moves and
@@ -2173,8 +2178,9 @@ class HoardAllocator final : public Allocator
      * child is single-threaded here, magazines are already flushed and
      * remote queues settled, so the sums are exact: in_use is heap u_i
      * plus bin u_i plus huge user bytes; held adds the reuse cache's
-     * and the span cache's spans, and the span cache recounts its U
-     * from its live list; committed is held minus whatever the purge
+     * spans and what the span cache's spans are charged (its U and C
+     * need no repair: they move only under its lock, which the sweep
+     * held); committed is held minus whatever the purge
      * pass has decommitted (summed span-by-span over the reuse cache,
      * the only place purged superblocks live).  Event counters are
      * left alone — they are diagnostics, not reconciled.
@@ -2205,13 +2211,13 @@ class HoardAllocator final : public Allocator
             reuse_cache_.push(chain);
             chain = next;
         }
-        spans_.recount_in_use();
-        spans_.for_each_live([&in_use, &held](const Superblock* sb) {
+        spans_.for_each_live([this, &in_use, &held](const Superblock* sb) {
             in_use += sb->huge_user_bytes();
-            held += sb->span_bytes();
+            held += spans_.charged_bytes(sb);
         });
-        spans_.for_each_parked(
-            [&held](const Superblock* sb) { held += sb->span_bytes(); });
+        spans_.for_each_parked([this, &held](const Superblock* sb) {
+            held += spans_.charged_bytes(sb);
+        });
         std::uint64_t cached = 0;
         for (detail::MagazineNode* node = cache_nodes_; node != nullptr;
              node = node->next_in_set) {
@@ -2676,11 +2682,14 @@ class HoardAllocator final : public Allocator
 
     /**
      * Huge path: a dedicated span with a superblock header.  A span up
-     * to the span cache's ceiling is medium: it rounds up to its class
-     * and comes back from the cache when one is parked, re-formatted
-     * and linked live under the cache's one lock, with @p zero clearing
-     * only what earlier requests can have dirtied.  Otherwise the span
-     * is mapped, and mapped memory is zero.
+     * to the span cache's ceiling is medium: it is mapped at the
+     * ceiling, charged the bytes of its request's class, and comes back
+     * from the cache when a span whose resident estimate is in that
+     * class or below is parked, re-formatted and linked live under the
+     * cache's one lock.  A span from a lower class is charged up to the
+     * request's class, and @p zero clears only what earlier requests
+     * can have dirtied.  Otherwise the span is mapped, and mapped
+     * memory is zero.
      */
     void*
     try_allocate_huge(std::size_t size, std::size_t align, bool zero)
@@ -2692,7 +2701,8 @@ class HoardAllocator final : public Allocator
             return nullptr;  // span would overflow; report OOM
         const std::size_t need = offset + size;
         const int cls = spans_.class_for(need);
-        const std::size_t span = cls < 0 ? need : spans_.class_bytes(cls);
+        const std::size_t span = cls < 0 ? need : spans_.max_span_bytes();
+        const std::size_t charge = cls < 0 ? need : spans_.class_bytes(cls);
         std::size_t dirty = 0;  // what earlier requests can have written
         Superblock* sb = nullptr;
         if (cls >= 0) {
@@ -2704,6 +2714,12 @@ class HoardAllocator final : public Allocator
         }
         if (sb != nullptr) {
             Policy::work(CostKind::list_op);
+            const std::size_t raise =
+                charge - spans_.class_bytes(spans_.class_for(dirty));
+            if (raise != 0) {
+                stats_.held_bytes.add(raise);
+                stats_.committed_bytes.add(raise);
+            }
             if (zero && dirty > offset) {
                 std::memset(reinterpret_cast<char*>(sb) + offset, 0,
                             std::min(size, dirty - offset));
@@ -2711,16 +2727,13 @@ class HoardAllocator final : public Allocator
             stats_.medium_reuses.add();
         } else {
             Policy::work(CostKind::os_map);
-            give_back_surplus_empties(span);
+            give_back_surplus_empties(charge);
             void* memory = provider_.map(span, config_.superblock_bytes);
-            if (memory == nullptr) {
-                if (cls >= 0)
-                    spans_.cancel(need);
+            if (memory == nullptr)
                 return nullptr;
-            }
             note_mapped_range(memory, span);
-            stats_.held_bytes.add(span);
-            stats_.committed_bytes.add(span);
+            stats_.held_bytes.add(charge);
+            stats_.committed_bytes.add(charge);
             sb = Superblock::create_huge(memory, span, offset, size,
                                          arena_id_);
             if (cls >= 0)
@@ -2788,17 +2801,18 @@ class HoardAllocator final : public Allocator
 
     /** Decommits a medium span the span cache gave up: its pages go
         back to the OS and the provider may hand its range out again.
-        Returns the span bytes. */
+        Returns the bytes the span was charged. */
     std::size_t
     decommit_span(Superblock* sb)
     {
         Policy::work(CostKind::os_purge);
-        const std::size_t bytes = sb->span_bytes();
+        const std::size_t bytes = spans_.charged_bytes(sb);
+        const std::size_t span = sb->span_bytes();
         stats_.held_bytes.sub(bytes);
         stats_.committed_bytes.sub(bytes);
         stats_.medium_decommits.add();
         sb->~Superblock();
-        provider_.unmap(sb, bytes);
+        provider_.unmap(sb, span);
         return bytes;
     }
 

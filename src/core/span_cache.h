@@ -2,8 +2,8 @@
  * @file
  * The span cache: every span above S/2, live or parked, under one
  * mutex.  A freed span up to kCeilingBytes (a medium span) stays
- * committed, so the next request of its size class takes it back with
- * no syscall and no page fault.
+ * committed, so a later medium request takes it back with no syscall
+ * and faults in at most the pages past what the span already holds.
  *
  * Hoard keeps freed memory in its heaps and bounds what it keeps with
  * the emptiness invariant u >= (1 - f) a - K S (paper §3).  This cache
@@ -12,18 +12,35 @@
  * reuse.  scalloc (PAPERS.md) keeps live and free spans in one global
  * structure the same way.
  *
- * Classes: four per octave from S/2 to the ceiling, so rounding a span
- * up to its class wastes at most 25%.  A span is mapped for its class
- * size and carries a *resident estimate* r (Superblock::resident_bytes):
+ * Spans and classes: every medium span (header + request up to
+ * kCeilingBytes) is mapped at the ceiling, so the page provider
+ * recycles one span size and any parked span can serve any medium
+ * request.  Only the pages a request touches become resident.  Each
+ * span carries a *resident estimate* r (Superblock::resident_bytes):
  * the largest header + request it has served since it was last
  * committed.  No byte past r can be dirty, and about r bytes of it are
- * resident.  A span above the ceiling has r = 0 and never parks.
+ * resident.  Classes, four per octave from S/2 to the ceiling, sort
+ * spans by r: a parked span sits in the list of its r's class, and a
+ * medium span is charged the class bytes of its r in held and committed
+ * bytes (charged_bytes()), what a span of that class used to map.  A
+ * span above the ceiling has r = 0, is charged its whole size and never
+ * parks.
+ *
+ * Reuse: a malloc of need n takes the newest span whose r falls in n's
+ * class, else the newest of the nearest lower class that holds one (only
+ * the n - r bytes past its estimate refault), else maps.  It never takes
+ * a span whose r is in a class above n's: such a span would stay
+ * charged for, and resident in, more than n's class, and the bound
+ * below counts r.  A live span's r therefore stays in its request's
+ * class, so rounding still wastes at most 25%.
  *
  * State, under one mutex: the list of live spans (what snapshots, the
  * fork child and teardown walk), a LIFO list of parked spans per
  * class, the parked bytes C (sum of r over parked spans), the medium
  * in-use U (sum of r over live medium spans) and its high-water mark
- * Û.  A free parks its span only if
+ * Û; beside them, a mask of the classes that hold parked spans, which
+ * a malloc reads before it locks, so a miss takes no lock and a fresh
+ * map one (to link the span live).  A free parks its span only if
  *
  *     C + r <= min(f / (1 - f) * U + K * S,  Û - U - M)
  *
@@ -40,14 +57,15 @@
  * free evicts nothing more unless C is over the bound by more than the
  * bound's U-proportional term f/(1-f)·U as well.  Then U fell further
  * than mallocs will refill, as at teardown, and the free sheds the
- * largest parked span too: one per free while anything medium is
- * live, and down to the bound (K·S) by the free that leaves nothing
- * live.  (Evicting whenever C is over the bound made 6-10% of frees on
- * medium_buffers pay two madvise calls, and the free p99 rose by a
- * fifth to a third.)  The cache never maps or decommits anything
- * itself; it hands spans back and the caller decommits them outside
- * the lock.  malloc never decommits.  Nothing here is a knob: every
- * constant comes from f, K, S and the ceiling.
+ * largest parked span too (the oldest of the highest resident class):
+ * one per free while anything medium is live, and down to the bound
+ * (K·S) by the free that leaves nothing live.  (Evicting whenever C is
+ * over the bound made 6-10% of frees on medium_buffers pay two madvise
+ * calls, and the free p99 rose by a fifth to a third.)  The cache
+ * never maps or decommits anything itself; it hands spans back and the
+ * caller decommits them outside the lock.  malloc never decommits.
+ * Nothing here is a knob: every constant comes from f, K, S and the
+ * ceiling.
  *
  * Parked spans keep their header with the free window closed (the
  * hardened free path reports a second free of one as a double free)
@@ -61,6 +79,8 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -75,11 +95,13 @@ template <typename Policy>
 class SpanCache
 {
   public:
-    /// Largest span the cache keeps; larger spans decommit on free.
+    /// The size every medium span is mapped at, so the largest header +
+    /// request the cache keeps; larger spans decommit on free.
     static constexpr std::size_t kCeilingBytes = std::size_t{256} << 10;
     /// Four classes per octave from S/2 up; S >= 1024 leaves at most
     /// nine octaves below the ceiling.
     static constexpr int kMaxClasses = 36;
+    static_assert(kMaxClasses <= 64, "one bit per class in nonempty_");
 
     /// What a free hands back for decommit.
     struct Decommits
@@ -113,7 +135,8 @@ class SpanCache
 
     int class_count() const { return class_count_; }
 
-    /** Largest medium span (M), 0 when S/2 reaches the ceiling. */
+    /** Size of every medium span, and the largest class (M); 0 when
+        S/2 reaches the ceiling. */
     std::size_t
     max_span_bytes() const
     {
@@ -133,56 +156,70 @@ class SpanCache
         return index_of(bytes);
     }
 
-    /** Span size of class @p cls. */
+    /** Size of class @p cls: the bytes a medium span whose resident
+        estimate falls in it is charged. */
     std::size_t
     class_bytes(int cls) const
     {
         return std::size_t(5 + cls % 4) << (quarter_shift_ + cls / 4);
     }
 
+    /** What @p sb counts in held and committed bytes: the class bytes
+        of a medium span's resident estimate, the whole of a larger
+        span.  Takes no lock; the caller owns @p sb or holds the lock. */
+    std::size_t
+    charged_bytes(const Superblock* sb) const
+    {
+        const std::size_t r = sb->resident_bytes();
+        return r == 0 ? sb->span_bytes() : class_bytes(index_of(r));
+    }
+
     /**
-     * malloc of a medium span: U grows by the new span's resident
-     * estimate, max(@p need, a reused span's estimate).  When a span of
-     * @p cls is parked, the newest is re-formatted by @p format (which
-     * takes the parked span and returns its new header), given that
-     * estimate, linked live and returned, all under one lock.  Else
-     * the result is nullptr: the caller maps a span and registers it
-     * with add_live(), or gives @p need back through cancel() when the
-     * map fails.
+     * malloc of a medium span whose header + request, @p need, falls in
+     * class @p cls.  Pops the newest parked span whose resident
+     * estimate is in @p cls, else the newest of the nearest lower class
+     * holding one, re-formats it by @p format (which takes the parked
+     * span and returns its new header), raises its estimate to
+     * @p need, links it live and charges it to U, all under one lock.
+     * nullptr when no class at or below @p cls holds a span.  A miss
+     * charges nothing and takes no lock (unless the last such span
+     * left between the mask read and the lock): the caller maps a span
+     * and registers it with add_live(), one lock round trip per fresh
+     * map.
      */
     template <class Format>
     Superblock*
     acquire(int cls, std::size_t need, Format&& format)
     {
+        const std::uint64_t at_or_below = (std::uint64_t{2} << cls) - 1;
+        // A stale empty read costs one map a parked span could have
+        // saved, never a wrong result.
+        if ((nonempty_.load(std::memory_order_relaxed) & at_or_below) == 0)
+            return nullptr;
         std::lock_guard<Mutex> guard(mutex_);
+        const std::uint64_t found =
+            nonempty_.load(std::memory_order_relaxed) & at_or_below;
+        if (found == 0)
+            return nullptr;
+        cls = static_cast<int>(std::bit_width(found)) - 1;
         Superblock* sb = lists_[static_cast<std::size_t>(cls)].pop_front();
-        if (sb != nullptr) {
-            parked_ -= sb->resident_bytes();
-            need = std::max(need, sb->resident_bytes());
-            sb = format(sb);
-            sb->set_resident_bytes(need);
-            live_.push_front(sb);
-        }
-        in_use_ += need;
-        high_water_ = std::max(high_water_, in_use_);
+        note_class_locked(cls);
+        parked_ -= sb->resident_bytes();
+        need = std::max(need, sb->resident_bytes());
+        sb = format(sb);
+        sb->set_resident_bytes(need);
+        link_live_locked(sb);
         return sb;
     }
 
-    /** Undoes acquire()'s U charge after a failed fresh map. */
-    void
-    cancel(std::size_t need)
-    {
-        std::lock_guard<Mutex> guard(mutex_);
-        in_use_ -= need;
-    }
-
     /** Links a freshly mapped span (a medium one with its resident
-        estimate already set) onto the live list. */
+        estimate set) onto the live list and charges its estimate to
+        U. */
     void
     add_live(Superblock* sb)
     {
         std::lock_guard<Mutex> guard(mutex_);
-        live_.push_front(sb);
+        link_live_locked(sb);
     }
 
     /** free of a span above the ceiling: unlinks it; the caller unmaps
@@ -214,8 +251,8 @@ class SpanCache
         if (parked_ + r <= bound) {
             last_tick_ = std::max(Policy::timestamp(), last_tick_ + 1);
             sb->set_retire_tick(last_tick_);
-            lists_[static_cast<std::size_t>(index_of(sb->span_bytes()))]
-                .push_front(sb);
+            lists_[static_cast<std::size_t>(index_of(r))].push_front(sb);
+            note_class_locked(index_of(r));
             parked_ += r;
         } else {
             out.freed = sb;
@@ -275,6 +312,7 @@ class SpanCache
                 f(sb);
             }
         }
+        nonempty_.store(0, std::memory_order_relaxed);
     }
 
     /** Calls @p f on every live span, under the lock. */
@@ -307,19 +345,48 @@ class SpanCache
     /// @{
     void lock() { mutex_.lock(); }
     void unlock() { mutex_.unlock(); }
-
-    /** Fork child, single-threaded: U recounted from the live list (a
-        parent thread may have died between acquire() and add_live()). */
-    void
-    recount_in_use()
-    {
-        in_use_ = 0;
-        for (Superblock* sb = live_.front(); sb != nullptr;
-             sb = live_.next(sb))
-            in_use_ += sb->resident_bytes();
-        high_water_ = std::max(high_water_, in_use_);
-    }
     /// @}
+
+    /**
+     * Under the lock, aborts unless every live medium span's resident
+     * estimate r lies between its need (object offset + request) and
+     * the class bytes of that need's class, every parked span sits in
+     * its r's class, the class mask matches the lists, and U and C are
+     * the sums of r over the live medium spans and the parked spans.
+     * Returns true so it can sit inside EXPECT_TRUE.
+     */
+    bool
+    check_invariants() const
+    {
+        std::lock_guard<Mutex> guard(mutex_);
+        std::size_t in_use = 0;
+        for (Superblock* sb = live_.front(); sb != nullptr;
+             sb = live_.next(sb)) {
+            const std::size_t r = sb->resident_bytes();
+            if (r == 0)
+                continue;  // above the ceiling
+            const std::size_t need =
+                sb->huge_offset() + sb->huge_user_bytes();
+            HOARD_CHECK(need <= r && r <= class_bytes(index_of(need)));
+            in_use += r;
+        }
+        std::size_t parked = 0;
+        for (int cls = 0; cls < class_count_; ++cls) {
+            const SuperblockList& list =
+                lists_[static_cast<std::size_t>(cls)];
+            for (Superblock* sb = list.front(); sb != nullptr;
+                 sb = list.next(sb)) {
+                HOARD_CHECK(index_of(sb->resident_bytes()) == cls);
+                parked += sb->resident_bytes();
+            }
+            HOARD_CHECK(list.empty() ==
+                        (((nonempty_.load(std::memory_order_relaxed) >>
+                           cls) & 1) == 0));
+        }
+        HOARD_CHECK(in_use == in_use_);
+        HOARD_CHECK(parked == parked_);
+        return true;
+    }
 
     /// @name Introspection (tests).
     /// @{
@@ -355,6 +422,27 @@ class SpanCache
 
   private:
     using Mutex = typename Policy::Mutex;
+
+    /** Links @p sb live and charges its resident estimate to U. */
+    void
+    link_live_locked(Superblock* sb)
+    {
+        live_.push_front(sb);
+        in_use_ += sb->resident_bytes();
+        high_water_ = std::max(high_water_, in_use_);
+    }
+
+    /** Records whether class @p cls holds a parked span. */
+    void
+    note_class_locked(int cls)
+    {
+        const std::uint64_t bit = std::uint64_t{1} << cls;
+        const std::uint64_t mask = nonempty_.load(std::memory_order_relaxed);
+        nonempty_.store(lists_[static_cast<std::size_t>(cls)].empty()
+                            ? mask & ~bit
+                            : mask | bit,
+                        std::memory_order_relaxed);
+    }
 
     /** Class index of @p bytes, without the ceiling check. */
     int
@@ -402,22 +490,23 @@ class SpanCache
         return oldest;
     }
 
-    /** The oldest parked span of the largest class holding any.
-        @pre something is parked. */
+    /** The oldest parked span of the highest resident class holding
+        any.  @pre something is parked. */
     Superblock*
     largest_locked() const
     {
-        int cls = class_count_ - 1;
-        while (lists_[static_cast<std::size_t>(cls)].empty())
-            --cls;
+        const int cls = static_cast<int>(std::bit_width(
+                            nonempty_.load(std::memory_order_relaxed))) -
+                        1;
         return lists_[static_cast<std::size_t>(cls)].back();
     }
 
     Superblock*
     take_locked(Superblock* sb)
     {
-        lists_[static_cast<std::size_t>(index_of(sb->span_bytes()))]
-            .remove(sb);
+        const int cls = index_of(sb->resident_bytes());
+        lists_[static_cast<std::size_t>(cls)].remove(sb);
+        note_class_locked(cls);
         parked_ -= sb->resident_bytes();
         return sb;
     }
@@ -429,6 +518,9 @@ class SpanCache
     mutable Mutex mutex_;
     SuperblockList live_;
     std::array<SuperblockList, kMaxClasses> lists_;
+    /// Bit c set while lists_[c] is non-empty.  Written under the lock;
+    /// acquire() reads it before locking, so a miss takes no lock.
+    std::atomic<std::uint64_t> nonempty_{0};
     std::size_t parked_ = 0;      ///< C
     std::size_t in_use_ = 0;      ///< U
     std::size_t high_water_ = 0;  ///< Û

@@ -239,6 +239,12 @@ class Superblock
 
     bool huge() const { return size_class_ == kHugeClass; }
     std::size_t huge_user_bytes() const { return huge_user_bytes_; }
+    /** Offset of a huge span's object from the span's start. */
+    std::size_t
+    huge_offset() const
+    {
+        return window_lo_ - reinterpret_cast<std::uintptr_t>(this);
+    }
 
     /**
      * A medium span's resident estimate (core/span_cache.h): the

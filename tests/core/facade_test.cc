@@ -97,19 +97,21 @@ TEST(Facade, CallocHugeIsZeroed)
 }
 
 /**
- * Dirties a medium buffer of @p bytes, frees it into the span cache,
- * and checks that calloc of the same size gets that very span back
- * (so the test sees recycled memory, not a fresh map) with every byte
- * zero.
+ * Dirties a medium buffer of @p dirty bytes, frees it into the span
+ * cache, and checks that calloc of @p bytes (by default the same size)
+ * gets that very span back (so the test sees recycled memory, not a
+ * fresh map) with every byte zero.
  */
 void
-expect_recycled_calloc_zeroed(std::size_t bytes)
+expect_recycled_calloc_zeroed(std::size_t bytes, std::size_t dirty = 0)
 {
+    if (dirty == 0)
+        dirty = bytes;
     std::vector<void*> live = testing_util::prime_span_cache(
         hoard_malloc, hoard_free, [] { hoard_release_free_memory(); });
-    auto* p = static_cast<unsigned char*>(hoard_malloc(bytes));
+    auto* p = static_cast<unsigned char*>(hoard_malloc(dirty));
     ASSERT_NE(p, nullptr);
-    std::memset(p, 0xee, bytes);
+    std::memset(p, 0xee, dirty);
     hoard_free(p);
     auto* q = static_cast<unsigned char*>(hoard_calloc(1, bytes));
     ASSERT_EQ(q, p) << "the span was not recycled";
@@ -153,6 +155,14 @@ TEST(Facade, CallocRecycledTopMediumClassSpanIsZeroed)
     // The largest request whose span (header included) is the ceiling.
     expect_recycled_calloc_zeroed(SpanCache<NativePolicy>::kCeilingBytes -
                                   Superblock::header_bytes());
+}
+
+TEST(Facade, CallocCrossClassReuseIsZeroed)
+{
+    // A span that held 40 KiB serves a 200 KiB calloc: the pages past
+    // its old contents were never touched and fault in zero.
+    expect_recycled_calloc_zeroed(std::size_t{200} << 10,
+                                  std::size_t{40} << 10);
 }
 
 TEST(Facade, CallocRecycledHugeSpanIsZeroed)

@@ -1,10 +1,11 @@
 /**
  * @file
- * The medium span cache (core/span_cache.h): its classes; its park,
- * decommit and evict rules on header-only spans; and, through a
+ * The medium span cache (core/span_cache.h): its classes; its reuse,
+ * park, decommit and evict rules on header-only spans; and, through a
  * HoardAllocator, reuse without a map, snapshots with spans parked,
  * reclaim, the purge pass, teardown at the slack, the simulator's
- * charge for a reuse, and a concurrent churn.
+ * charge for a reuse, a concurrent churn, and spans mapped past a full
+ * arena.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "core/span_cache.h"
 #include "core/superblock.h"
 #include "os/page_provider.h"
+#include "os/reserved_arena.h"
 #include "policy/native_policy.h"
 #include "policy/sim_policy.h"
 #include "sim/cost_model.h"
@@ -84,8 +86,8 @@ class SpanCacheRules : public ::testing::Test
     {
         const int cls = cache_.class_for(need);
         auto format = [&](void* memory) {
-            return Superblock::create_huge(memory, cache_.class_bytes(cls),
-                                           kHeader, need - kHeader);
+            return Superblock::create_huge(memory, kCeiling, kHeader,
+                                           need - kHeader);
         };
         if (Superblock* sb = cache_.acquire(cls, need, format))
             return sb;
@@ -162,6 +164,7 @@ TEST_F(SpanCacheRules, ParkDecommitAndEvictFollowTheBound)
     EXPECT_EQ(cache_.parked_bytes(), 0u);
     EXPECT_EQ(cache_.parked_count(), 0u);
     EXPECT_EQ(cache_.high_water_bytes(), 12 * r);
+    EXPECT_TRUE(cache_.check_invariants());
 }
 
 TEST_F(SpanCacheRules, ReuseIsNewestFirstAndEvictionOldestFirst)
@@ -195,13 +198,26 @@ TEST_F(SpanCacheRules, ReuseIsNewestFirstAndEvictionOldestFirst)
     EXPECT_EQ(cache_.in_use_bytes(), 8 * kCeiling + 50000);
     EXPECT_EQ(cache_.parked_bytes(), 50000u);
 
-    // Across classes, eviction runs in park order: x, then p, then q.
+    // Across classes a request below every parked estimate maps, and
+    // one above takes the newest span of the nearest lower class and
+    // raises its estimate to the request.
+    ASSERT_LT(cache_.class_for(20000), cache_.class_for(50000));
+    ASSERT_GT(cache_.class_for(150000), cache_.class_for(50000));
     Superblock* p = take(20000);
+    EXPECT_NE(p, x);
+    EXPECT_EQ(cache_.parked_count(), 1u);
     Superblock* q = take(150000);
-    ASSERT_NE(cache_.class_for(20000), cache_.class_for(150000));
+    EXPECT_EQ(q, x);
+    EXPECT_EQ(q->resident_bytes(), 150000u);
+    EXPECT_EQ(cache_.parked_bytes(), 0u);
+    EXPECT_EQ(cache_.in_use_bytes(), 8 * kCeiling + 220000);
+
+    // Eviction runs in park order: again, then p, then q.
+    EXPECT_EQ(give(again).freed, nullptr);
     EXPECT_EQ(give(p).freed, nullptr);
     EXPECT_EQ(give(q).freed, nullptr);
     EXPECT_EQ(cache_.parked_count(), 3u);
+    EXPECT_TRUE(cache_.check_invariants());
 
     // A predicate that refuses the oldest stops the walk.
     EXPECT_EQ(cache_.take_oldest_if([](const Superblock*) { return false; }),
@@ -209,10 +225,65 @@ TEST_F(SpanCacheRules, ReuseIsNewestFirstAndEvictionOldestFirst)
     EXPECT_EQ(cache_.parked_count(), 3u);
     const std::vector<Superblock*> order = drain();
     ASSERT_EQ(order.size(), 3u);
-    EXPECT_EQ(order[0], x);
+    EXPECT_EQ(order[0], again);
     EXPECT_EQ(order[1], p);
     EXPECT_EQ(order[2], q);
     EXPECT_EQ(cache_.parked_bytes(), 0u);
+}
+
+TEST_F(SpanCacheRules, ReuseTakesTheNearestResidentClassAtOrBelow)
+{
+    // Room to park, as above: U = 2 MiB live, Û = 4 MiB.
+    std::vector<Superblock*> ballast;
+    for (int i = 0; i < 16; ++i)
+        ballast.push_back(take(kCeiling));
+    for (int i = 8; i < 16; ++i)
+        give(ballast[static_cast<std::size_t>(i)]);
+    drain();
+
+    // Park four spans with estimates in three classes, a2 after a.
+    Superblock* a = take(20000);
+    Superblock* a2 = take(19000);
+    Superblock* b = take(50000);
+    Superblock* c = take(150000);
+    ASSERT_EQ(cache_.class_for(19000), cache_.class_for(20000));
+    for (Superblock* sb : {a, a2, b, c})
+        ASSERT_EQ(give(sb).freed, nullptr);
+
+    struct Row
+    {
+        std::size_t need;
+        Superblock* takes;  ///< nullptr: maps
+        std::size_t r;      ///< the span's estimate afterwards
+    };
+    const Row rows[] = {
+        {10000, nullptr, 10000},  // every parked estimate is above
+        {140000, c, 150000},      // own class; keeps its larger r
+        {100000, b, 100000},      // nearest lower class, raised
+        {30000, a2, 30000},       // newest of the nearest lower class
+        {18000, a, 20000},        // own class again
+        {60000, nullptr, 60000},  // nothing parked
+    };
+    std::size_t parked = 4;
+    for (const Row& row : rows) {
+        SCOPED_TRACE(row.need);
+        const std::size_t in_use = cache_.in_use_bytes();
+        Superblock* sb = take(row.need);
+        if (row.takes != nullptr) {
+            EXPECT_EQ(sb, row.takes);
+            --parked;
+        } else {
+            for (Superblock* old : {a, a2, b, c})
+                EXPECT_NE(sb, old);
+        }
+        EXPECT_EQ(sb->resident_bytes(), row.r);
+        EXPECT_EQ(cache_.in_use_bytes(), in_use + row.r);
+        EXPECT_EQ(cache_.parked_count(), parked);
+        // The span stays charged within its request's class.
+        EXPECT_EQ(cache_.charged_bytes(sb),
+                  cache_.class_bytes(cache_.class_for(row.need)));
+        EXPECT_TRUE(cache_.check_invariants());
+    }
 }
 
 TEST_F(SpanCacheRules, FarOverTheBoundShedsTheLargestThenDrainsAtZero)
@@ -253,11 +324,14 @@ TEST_F(SpanCacheRules, FarOverTheBoundShedsTheLargestThenDrainsAtZero)
     ASSERT_EQ(w->cache_next.load(), q);
     EXPECT_EQ(q->cache_next.load(), nullptr);
     EXPECT_EQ(cache_.parked_bytes(), 50000u);
+    EXPECT_TRUE(cache_.check_invariants());
     EXPECT_EQ(drain(), std::vector<Superblock*>{p});
 }
 
-TEST_F(SpanCacheRules, FailedMapGivesItsChargeBack)
+TEST_F(SpanCacheRules, MissChargesNothing)
 {
+    // U is charged when a span links live, so a miss whose map then
+    // fails has nothing to give back.
     const int cls = cache_.class_for(40000);
     EXPECT_EQ(cache_.acquire(cls, 40000,
                              [](Superblock* sb) {
@@ -265,9 +339,12 @@ TEST_F(SpanCacheRules, FailedMapGivesItsChargeBack)
                                  return sb;
                              }),
               nullptr);
-    EXPECT_EQ(cache_.in_use_bytes(), 40000u);
-    cache_.cancel(40000);
     EXPECT_EQ(cache_.in_use_bytes(), 0u);
+    EXPECT_EQ(cache_.high_water_bytes(), 0u);
+    take(40000);
+    EXPECT_EQ(cache_.in_use_bytes(), 40000u);
+    EXPECT_EQ(cache_.high_water_bytes(), 40000u);
+    EXPECT_TRUE(cache_.check_invariants());
 }
 
 /** Primes @p a's span cache (span_cache_util.h). */
@@ -417,8 +494,9 @@ TEST(SpanCacheAllocator, ConcurrentChurnStaysExact)
     // class edge, half of them through calloc, and check every byte
     // pattern before each free: a span parked by one thread is reused
     // by another while evictions decommit under their feet.  A fifth
-    // walks the live and parked lists (snapshots) and decommits parked
-    // spans (forced purge passes) throughout.
+    // walks the live and parked lists (snapshots, the cache's own
+    // checks) and decommits parked spans (forced purge passes)
+    // throughout.
     constexpr int kThreads = 4;
     constexpr int kSlots = 8;
     constexpr int kRounds = 1500;
@@ -431,6 +509,7 @@ TEST(SpanCacheAllocator, ConcurrentChurnStaysExact)
     threads.emplace_back([&a, &running] {
         while (running.load() != 0) {
             (void)a.take_snapshot();
+            EXPECT_TRUE(a.span_cache().check_invariants());
             a.purge(/*force=*/true);
         }
     });
@@ -492,6 +571,91 @@ TEST(SpanCacheAllocator, ConcurrentChurnStaysExact)
     EXPECT_TRUE(snap.reconciles());
     EXPECT_EQ(snap.huge_count, 0u);
     EXPECT_TRUE(a.check_invariants());
+}
+
+/** A provider with one arena whose growth fails, counting the spans it
+    unmaps outright. */
+class OneArenaProvider : public os::ReservedArenaProvider
+{
+  public:
+    using ReservedArenaProvider::ReservedArenaProvider;
+
+    int munmapped_spans = 0;
+
+  protected:
+    void*
+    os_reserve(std::size_t bytes) override
+    {
+        if (reserved_)
+            return nullptr;
+        reserved_ = true;
+        return ReservedArenaProvider::os_reserve(bytes);
+    }
+
+    void
+    os_release(void* p, std::size_t bytes) override
+    {
+        if (bytes == kCeiling)
+            ++munmapped_spans;
+        ReservedArenaProvider::os_release(p, bytes);
+    }
+
+  private:
+    bool reserved_ = false;
+};
+
+TEST(SpanCacheAllocator, SpansPastAFullArenaComeFromTheFallback)
+{
+    // Every medium span takes the ceiling's address space, so a 1 MiB
+    // arena holds four; the fifth and later are mapped by the
+    // provider's mmap fallback and unmapped by munmap, and park and
+    // serve other classes like any other span.
+    os::ReservedArenaProvider::Options options;
+    options.arena_bytes = std::size_t{1} << 20;
+    options.max_span_bytes = kCeiling;
+    OneArenaProvider provider(options);
+    {
+        Config config;
+        config.heap_count = 1;
+        NativeHoard a(config, provider);
+        std::vector<void*> live = prime(a);
+        EXPECT_EQ(provider.reservations(), 1u);
+        EXPECT_EQ(provider.fallback_maps(),
+                  testing_util::kPrimeLive + testing_util::kPrimeBurst - 4u);
+        EXPECT_EQ(provider.munmapped_spans, testing_util::kPrimeBurst);
+
+        const std::uint64_t fallbacks = provider.fallback_maps();
+        const std::size_t small = std::size_t{40} << 10;
+        void* p = a.allocate(small);
+        ASSERT_NE(p, nullptr);
+        EXPECT_EQ(provider.fallback_maps(), fallbacks + 1);
+        std::memset(p, 0x5a, small);
+        a.deallocate(p);
+        EXPECT_EQ(a.span_cache().parked_count(), 1u);
+        EXPECT_TRUE(a.take_snapshot().reconciles());
+
+        const std::size_t big = std::size_t{200} << 10;
+        auto* q = static_cast<unsigned char*>(a.allocate_zeroed(big));
+        ASSERT_EQ(q, p) << "the parked span did not serve a larger class";
+        EXPECT_EQ(provider.fallback_maps(), fallbacks + 1);
+        for (std::size_t i = 0; i < big; i += 512)
+            ASSERT_EQ(q[i], 0u) << "byte " << i;
+        std::memset(q, 0xa5, big);
+        a.deallocate(q);
+        EXPECT_EQ(a.span_cache().parked_count(), 1u);
+        obs::AllocatorSnapshot snap = a.take_snapshot();
+        EXPECT_TRUE(snap.reconciles());
+        EXPECT_TRUE(a.check_invariants());
+
+        const int munmapped = provider.munmapped_spans;
+        a.release_free_memory();
+        EXPECT_EQ(provider.munmapped_spans, munmapped + 1);
+        EXPECT_EQ(a.span_cache().parked_count(), 0u);
+        EXPECT_TRUE(a.take_snapshot().reconciles());
+        free_all(a, live);
+        EXPECT_TRUE(a.take_snapshot().reconciles());
+    }
+    EXPECT_EQ(provider.mapped_bytes(), 0u);
 }
 
 }  // namespace
