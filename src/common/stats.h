@@ -390,7 +390,9 @@ struct AllocatorStats
     ShardedCounter allocs;       ///< calls to allocate()
     ShardedCounter frees;        ///< calls to deallocate()
     ShardedGauge in_use_bytes;   ///< block-rounded bytes currently live (U)
-    ShardedCounter remote_frees; ///< frees pushed to a busy owner's queue
+    ShardedCounter remote_frees; ///< blocks sent home through a remote
+                                 ///< queue: a free that found its owner
+                                 ///< busy, or one block of an outbox chain
     Gauge held_bytes;            ///< bytes held in superblocks (A)
     Gauge committed_bytes;       ///< OS-committed bytes (RSS ground truth);
                                  ///< held_bytes == committed + purged

@@ -213,17 +213,16 @@ bool
 ReservedArenaProvider::grow_arena()
 {
     const std::size_t n = chunk_count_.load(std::memory_order_relaxed);
-    if (n == kMaxChunks)
-        return false;
-
     // Over-reserve by one max span so an aligned arena of the full
     // size must exist inside, then trim the PROT_NONE head/tail.
     const std::size_t want = options_.arena_bytes;
     const std::size_t span = options_.max_span_bytes;
     const std::size_t total = want + span - page_bytes_;
-    void* raw = os_reserve(total);
-    if (raw == nullptr)
+    void* raw = n == kMaxChunks ? nullptr : os_reserve(total);
+    if (raw == nullptr) {
+        grow_failed_.store(true, std::memory_order_relaxed);
         return false;
+    }
     reservations_.add();
 
     const auto base = reinterpret_cast<std::uintptr_t>(raw);
@@ -253,6 +252,10 @@ ReservedArenaProvider::carve_max_span()
 {
     const std::size_t span = options_.max_span_bytes;
     for (;;) {
+        // Every chunk was exhausted when the set last failed to grow,
+        // and a bump cursor only moves forward.
+        if (grow_failed_.load(std::memory_order_relaxed))
+            return 0;
         const std::size_t n =
             chunk_count_.load(std::memory_order_acquire);
         for (std::size_t i = 0; i < n; ++i) {
@@ -266,8 +269,9 @@ ReservedArenaProvider::carve_max_span()
                 return chunk.base + off;
         }
         std::lock_guard<std::mutex> lock(grow_mutex_);
-        if (chunk_count_.load(std::memory_order_acquire) != n)
-            continue;  // another thread grew the set; retry the carve
+        if (chunk_count_.load(std::memory_order_acquire) != n ||
+            grow_failed_.load(std::memory_order_relaxed))
+            continue;  // another thread grew the set, or failed to
         if (!grow_arena())
             return 0;
     }

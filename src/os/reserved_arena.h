@@ -30,7 +30,10 @@
  *
  * Requests too large for the span machinery (beyond max_span_bytes)
  * fall back to a plain over-map-and-trim mmap, accounted in both
- * gauges, so huge allocations keep working unchanged.
+ * gauges, so huge allocations keep working unchanged.  So does every
+ * request that finds the free stacks empty once the arena set can no
+ * longer grow: a refused reservation (or the 64-arena limit) is final
+ * for the provider's lifetime, and no later carve asks again.
  *
  * The ABA-prone Treiber stacks use 16-bit tags packed into the unused
  * high bits of the head word (user pointers fit in 48 bits on every
@@ -221,11 +224,13 @@ class ReservedArenaProvider : public PageProvider
      */
     std::uintptr_t take_span(int order, bool* rw);
 
-    /** Bump-carves one max-order span; 0 when reservation fails. */
+    /** Bump-carves one max-order span; 0 once the arena set is full
+        and cannot grow (see grow_failed_). */
     std::uintptr_t carve_max_span();
 
     /** Reserves and registers one more arena chunk (caller holds
-        grow_mutex_); false when the OS refuses. */
+        grow_mutex_); false when the OS refuses or kMaxChunks is
+        reached, and then grow_failed_ is set for good. */
     bool grow_arena();
 
     /** True when @p p lies inside a registered arena chunk. */
@@ -253,6 +258,11 @@ class ReservedArenaProvider : public PageProvider
     ArenaChunk chunks_[kMaxChunks];
     std::atomic<std::size_t> chunk_count_{0};
     std::mutex grow_mutex_;
+    /// Set by the first failed grow_arena and never cleared: a 1 GiB
+    /// reservation the OS refused once is not retried, so every later
+    /// carve returns 0 at once instead of walking the exhausted chunks,
+    /// taking grow_mutex_ and asking the OS again.
+    std::atomic<bool> grow_failed_{false};
 
     /// Node-pool backing chunks (plain RW mappings).  node_bump_ is a
     /// monotonic global node index — chunk = idx / nodes-per-chunk —

@@ -573,22 +573,22 @@ TEST(SpanCacheAllocator, ConcurrentChurnStaysExact)
     EXPECT_TRUE(a.check_invariants());
 }
 
-/** A provider with one arena whose growth fails, counting the spans it
-    unmaps outright. */
+/** A provider with one arena whose growth fails, counting the
+    reservations it is asked for and the spans it unmaps outright. */
 class OneArenaProvider : public os::ReservedArenaProvider
 {
   public:
     using ReservedArenaProvider::ReservedArenaProvider;
 
     int munmapped_spans = 0;
+    int reserve_calls = 0;
 
   protected:
     void*
     os_reserve(std::size_t bytes) override
     {
-        if (reserved_)
+        if (reserve_calls++ != 0)
             return nullptr;
-        reserved_ = true;
         return ReservedArenaProvider::os_reserve(bytes);
     }
 
@@ -599,9 +599,6 @@ class OneArenaProvider : public os::ReservedArenaProvider
             ++munmapped_spans;
         ReservedArenaProvider::os_release(p, bytes);
     }
-
-  private:
-    bool reserved_ = false;
 };
 
 TEST(SpanCacheAllocator, SpansPastAFullArenaComeFromTheFallback)
@@ -623,6 +620,9 @@ TEST(SpanCacheAllocator, SpansPastAFullArenaComeFromTheFallback)
         EXPECT_EQ(provider.fallback_maps(),
                   testing_util::kPrimeLive + testing_util::kPrimeBurst - 4u);
         EXPECT_EQ(provider.munmapped_spans, testing_util::kPrimeBurst);
+        // One reservation granted, one refused; the refusal is final,
+        // so the later fallback maps do not ask again.
+        EXPECT_EQ(provider.reserve_calls, 2);
 
         const std::uint64_t fallbacks = provider.fallback_maps();
         const std::size_t small = std::size_t{40} << 10;
