@@ -97,6 +97,26 @@ churn(std::atomic<bool>& stop, int tid)
             hoard_free(p);
 }
 
+/** Churn that trades blocks with sibling threads through @p table:
+    each step parks a fresh allocation in a random slot and frees what
+    the slot held, most often a sibling's block from another heap, so
+    every thread's outbox keeps sending chains home across the fork. */
+void
+trade(std::atomic<bool>& stop, std::vector<std::atomic<void*>>& table,
+      int tid)
+{
+    std::uint64_t rng =
+        0x9e3779b97f4a7c15ull ^ static_cast<std::uint64_t>(tid);
+    while (!stop.load(std::memory_order_relaxed)) {
+        rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+        void* p = hoard_malloc((rng >> 33) % 512 + 1);
+        void* old = table[(rng >> 20) % table.size()].exchange(
+            p, std::memory_order_acq_rel);
+        if (old != nullptr)
+            hoard_free(old);
+    }
+}
+
 /** Forks @p rounds times, waits each child, returns the first nonzero
     child verdict (0 when every child passed). */
 int
@@ -131,6 +151,35 @@ TEST(ForkTorture, ForkWhileSiblingsChurn)
     stop.store(true, std::memory_order_relaxed);
     for (std::thread& t : churners)
         t.join();
+
+    EXPECT_EQ(verdict, 0)
+        << "1=alloc failed 2=gauges don't reconcile 3=heap invariant "
+           "4=structural check 100+=fork/wait plumbing";
+    EXPECT_TRUE(hoard_snapshot().reconciles())
+        << "parent must reconcile after its atfork handlers too";
+}
+
+TEST(ForkTorture, ForkWhileSiblingsTradeBlocks)
+{
+    // The global instance has one heap per hardware thread, so with two
+    // or more the traders free each other's blocks through their
+    // outboxes and a fork can land half-way through an outbox send.
+    if (std::thread::hardware_concurrency() < 2)
+        GTEST_SKIP() << "one heap: no free is foreign";
+    hoard_install_atfork();
+    std::atomic<bool> stop{false};
+    std::vector<std::atomic<void*>> table(256);
+    std::vector<std::thread> traders;
+    for (int t = 0; t < 4; ++t)
+        traders.emplace_back(
+            [&stop, &table, t] { trade(stop, table, t); });
+
+    int verdict = fork_rounds(16);
+    stop.store(true, std::memory_order_relaxed);
+    for (std::thread& t : traders)
+        t.join();
+    for (std::atomic<void*>& slot : table)
+        hoard_free(slot.exchange(nullptr));
 
     EXPECT_EQ(verdict, 0)
         << "1=alloc failed 2=gauges don't reconcile 3=heap invariant "
